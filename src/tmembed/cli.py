@@ -186,9 +186,26 @@ def resolve_config(args: argparse.Namespace) -> dict:
             else:
                 cfg[key] = value
     cfg.update(given)
-    if cfg.get("jobs") is None and "jobs" in cfg:
-        cfg["jobs"] = int(os.environ.get(JOBS_ENV, "1"))
+    if "jobs" in cfg:
+        if "jobs" in given:
+            source = "--jobs"
+        elif cfg["jobs"] is not None:
+            source = f"{config_path}: jobs"
+        else:
+            source, cfg["jobs"] = JOBS_ENV, os.environ.get(JOBS_ENV, "1")
+        cfg["jobs"] = _worker_count(cfg["jobs"], source)
     return cfg
+
+
+def _worker_count(value, source: str) -> int:
+    """A positive integer, else a usage error naming where the value came from."""
+    try:
+        jobs = int(value)
+    except (TypeError, ValueError):
+        jobs = 0
+    if jobs < 1:
+        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+    return jobs
 
 
 def _load_labeled(corpus_path, labels_path, vocab) -> list[aug.LabeledDocument]:
@@ -220,6 +237,9 @@ def cmd_phase1(cfg: dict) -> int:
     else:
         vocab = corp.build_vocabulary(raw, cfg["vocab_size"])
     ds = corp.vectorize(raw, vocab)
+    # Training needs only ds; freed token lists stay out of the memory that
+    # forked Phase-1 workers inherit.
+    del raw
     p1cfg = p1.Phase1Config(r=cfg["r"], a=cfg["a"], epochs=cfg["epochs"],
                             num_clauses=cfg["clauses"], T=cfg["T"], s=cfg["s"],
                             N=cfg["N"], seed=cfg["seed"])

@@ -21,8 +21,9 @@ Binary store layout (all integers little-endian, fixed width):
             literals       u32 x literal_count, delta encoded: first index
                            absolute, the rest offsets from the previous one
 
-Length-prefixed records make the file seekable per word, so a single word can
-be retrained and rewritten without touching the others' bytes.
+Records are length-prefixed, but nothing seeks by them yet: `load` reads and
+verifies the whole file, and retraining a single word (`phase1 --word`) loads
+the store and rewrites all of it with `save`.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,27 +39,39 @@ class Phase1Config:
             raise ValueError("r, a and epochs must be >= 1")
 
 
+def document_pools(ds: DocumentSet, word: int) -> tuple[np.ndarray, np.ndarray]:
+    """The word's (non-supporting, supporting) document ids, indexed by q."""
+    return ds.not_containing(word), ds.containing(word)
+
+
 def pick_documents(ds: DocumentSet, word: int, q: int, a: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """min(a, eligible) distinct documents, uniform without replacement."""
+                   rng: np.random.Generator,
+                   pools: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
+    """min(a, eligible) distinct documents, uniform without replacement.
+
+    `pools` is the word's document_pools, when the caller has them: it only
+    saves recomputing them, so the draw and the rng state are the same.
+    """
     if not 0 <= word < ds.V:
         raise ValueError(f"word index {word} out of range")
-    if q == 1:
-        eligible = ds.containing(word)
-        if eligible.size == 0:
-            raise ValueError(f"no supporting documents for word {word}")
+    if pools is not None:
+        eligible = pools[q]
     else:
-        eligible = ds.not_containing(word)
-        if eligible.size == 0:
-            raise ValueError(f"no non-supporting documents for word {word}")
+        eligible = ds.containing(word) if q == 1 else ds.not_containing(word)
+    if eligible.size == 0:
+        kind = "supporting" if q == 1 else "non-supporting"
+        raise ValueError(f"no {kind} documents for word {word}")
     n = min(a, eligible.size)
     return rng.choice(eligible, size=n, replace=False)
 
 
 def build_x_from_documents(ds: DocumentSet, word: int, q: int, a: int,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: np.random.Generator,
+                           pools: tuple[np.ndarray, np.ndarray] | None = None
+                           ) -> np.ndarray:
     """Union the picked documents' word sets into a negation-closed vector."""
-    picked = pick_documents(ds, word, q, a, rng)
+    picked = pick_documents(ds, word, q, a, rng, pools)
     if picked.size:
         features = np.unique(np.concatenate([ds.docs[d] for d in picked]))
     else:
@@ -75,16 +88,38 @@ def train_word(ds: DocumentSet, word: int, cfg: Phase1Config) -> WordKnowledge:
     """Train one word's machine and extract its nonzero-weight clauses."""
     if not 0 <= word < ds.V:
         raise ValueError(f"word index {word} out of range")
-    if ds.containing(word).size == 0:
+    pools = document_pools(ds, word)
+    if pools[1].size == 0:
         raise ValueError(f"no supporting documents for word {word}")
     rng = _word_rng(cfg, word)
     bank = init_bank(cfg.num_clauses, 1, ds.V, cfg.N, cfg.T, cfg.s)
     for _ in range(cfg.epochs):
         for _ in range(cfg.r):
             q = int(rng.integers(2))
-            x = build_x_from_documents(ds, word, q, cfg.a, rng)
+            x = build_x_from_documents(ds, word, q, cfg.a, rng, pools)
             update(bank, x, 0, q, rng)
     return from_bank(bank, word)
+
+
+# The DocumentSet a Phase-1 worker process trains on, set once by _init_worker.
+_worker_ds: DocumentSet | None = None
+
+
+def _init_worker(ds: DocumentSet) -> None:
+    global _worker_ds
+    _worker_ds = ds
+
+
+def _train_or_error(ds: DocumentSet, word: int,
+                    cfg: Phase1Config) -> WordKnowledge | ValueError:
+    try:
+        return train_word(ds, word, cfg)
+    except ValueError as err:
+        return err
+
+
+def _train_in_worker(word: int, cfg: Phase1Config) -> WordKnowledge | ValueError:
+    return _train_or_error(_worker_ds, word, cfg)
 
 
 def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
@@ -93,23 +128,23 @@ def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
 
     Per-word failures are recorded in the store (empty entry + message); they
     never abort the batch. Results are identical for any parallelism level.
+    With parallelism > 1, up to one worker process per word is started and
+    each receives the DocumentSet once; a task carries only (word, cfg).
     """
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
     words = range(vocab.size)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = {w: pool.submit(train_word, ds, w, cfg) for w in words}
-            for w, fut in futures.items():
-                try:
-                    store.entries[w] = fut.result()
-                except ValueError as err:
-                    store.entries[w] = WordKnowledge(word=w, clauses=())
-                    store.failures[w] = str(err)
+    workers = min(parallelism, vocab.size)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_init_worker,
+                                 initargs=(ds,)) as pool:
+            results = list(pool.map(_train_in_worker, words, repeat(cfg)))
     else:
-        for w in words:
-            try:
-                store.entries[w] = train_word(ds, w, cfg)
-            except ValueError as err:
-                store.entries[w] = WordKnowledge(word=w, clauses=())
-                store.failures[w] = str(err)
+        results = [_train_or_error(ds, w, cfg) for w in words]
+    for w, result in zip(words, results):
+        if isinstance(result, ValueError):
+            store.entries[w] = WordKnowledge(word=w, clauses=())
+            store.failures[w] = str(result)
+        else:
+            store.entries[w] = result
     return store

@@ -278,6 +278,39 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     assert cfg["jobs"] == 3
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_flag_is_usage_error(workdir, capsys, jobs):
+    tmp, corpus, _ = workdir
+    out = tmp / "k.tmk"
+    with pytest.raises(SystemExit) as exc:
+        run(["phase1", corpus, "--jobs", jobs, "--out", out] + FAST)
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", ""])
+def test_malformed_jobs_environment_is_usage_error(workdir, capsys,
+                                                   monkeypatch, value):
+    tmp, corpus, _ = workdir
+    monkeypatch.setenv(cli.JOBS_ENV, value)
+    with pytest.raises(SystemExit) as exc:
+        run(["phase1", corpus, "--out", tmp / "k.tmk"] + FAST)
+    assert exc.value.code == 2
+    assert cli.JOBS_ENV in capsys.readouterr().err
+
+
+def test_nonpositive_jobs_in_config_file_is_usage_error(workdir, capsys):
+    tmp, corpus, _ = workdir
+    cfgfile = tmp / "cfg.json"
+    cfgfile.write_text('{"jobs": 0}')
+    with pytest.raises(SystemExit) as exc:
+        run(["phase1", corpus, "--config", cfgfile, "--out", tmp / "k.tmk"]
+            + FAST)
+    assert exc.value.code == 2
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_classifier_defaults_echo_reference_setup():
     d = cli.DEFAULTS["classify"]
     assert (d["clauses"], d["T"], d["s"], d["epochs"]) == (1000, 8000, 2.0, 10)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from tmembed import phase1
+from tmembed import knowledge, phase1
 from tmembed.corpus import Vocabulary, vectorize
 from tmembed.knowledge import filter_by_polarity
 from oracles import eligible_documents
@@ -93,6 +95,18 @@ def test_every_built_vector_is_negation_closed():
         assert np.array_equal(x[4:], 1 - x[:4])
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_document_pools_leave_the_draws_unchanged(q):
+    _, ds = cooccurrence_corpus()
+    pools = phase1.document_pools(ds, 0)
+    plain, pooled = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(50):
+        x = phase1.build_x_from_documents(ds, 0, q, 3, plain)
+        y = phase1.build_x_from_documents(ds, 0, q, 3, pooled, pools)
+        assert np.array_equal(x, y)
+        assert plain.bit_generator.state == pooled.bit_generator.state
+
+
 def cooccurrence_corpus():
     raw = [["w0", "w1"]] * 30 + [["w2", "w3"]] * 30
     vocab = Vocabulary.from_words(["w0", "w1", "w2", "w3"])
@@ -168,3 +182,30 @@ def test_train_all_parallel_equals_serial():
     parallel = phase1.train_all(ds, vocab, cfg, parallelism=2)
     assert serial.entries == parallel.entries
     assert serial.failures == parallel.failures
+
+
+# sha256 of the store that train_all saves for pinned_corpus under PINNED_CFG,
+# as the serial reference implementation writes it. Any change to the random
+# stream, the training, the failure handling or the store format moves it.
+PINNED_STORE_SHA256 = \
+    "796933abd5eae23f5dea1cc6f5b038c2e3dcd9e7f9c747215105fa3a408ba5e7"
+PINNED_CFG = phase1.Phase1Config(r=60, a=4, epochs=2, num_clauses=10, T=10,
+                                 s=3.0, N=16, seed=11)
+
+
+def pinned_corpus():
+    # w0 is in every document, so its first q=0 draw fails
+    vocab = Vocabulary.from_words(["w0", "w1", "w2", "w3", "w4"])
+    raw = ([["w0", "w1", "w2"]] * 6 + [["w0", "w3", "w4"]] * 6
+           + [["w0", "w1", "w4"]] * 3)
+    return vocab, vectorize(raw, vocab)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_train_all_store_bytes_are_pinned(tmp_path, parallelism):
+    vocab, ds = pinned_corpus()
+    store = phase1.train_all(ds, vocab, PINNED_CFG, parallelism=parallelism)
+    assert store.failures == {0: "no non-supporting documents for word 0"}
+    path = tmp_path / "k.tmk"
+    knowledge.save(store, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STORE_SHA256

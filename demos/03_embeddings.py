@@ -30,7 +30,6 @@ targets = list(range(vocab.size))
 bank, emb = train_embedding(store, targets, Phase1Config(
     r=120, a=3, epochs=2, num_clauses=16, T=16, s=3.0, N=32, seed=1))
 print(f"embedding matrix: {emb.rows.shape[0]} words x {emb.rows.shape[1]} literals")
-print("extraction rule:", emb.source)
 
 for probe in ("car", "bread"):
     w = vocab.index_of[probe]

@@ -56,12 +56,42 @@ class AugmentConfig:
             raise ValueError("pool_size must be >= 1")
 
 
+def _ranker(emb: EmbeddingMatrix, exclude):
+    """rank(i, n, order): the first n words by cosine to row i of emb.
+
+    Row norms and the candidate mask are computed once here, so each call
+    costs one matrix-vector product and one sort over the k rows. Row i
+    itself, zero-vector rows and excluded words never appear; ties break on
+    word index, then on row position.
+    """
+    words = np.asarray(emb.words, dtype=np.int64)
+    norms = np.linalg.norm(emb.rows, axis=1)
+    usable = norms != 0.0
+    usable &= ~np.fromiter((w in exclude for w in emb.words), dtype=bool,
+                           count=len(emb.words))
+
+    def rank(i: int, n: int, order: str) -> list[int]:
+        v = emb.rows[i]
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            raise ValueError("zero vector")
+        keep = usable.copy()
+        keep[i] = False
+        cand = np.flatnonzero(keep)
+        sims = (emb.rows @ v)[cand] / (nv * norms[cand])
+        by_sim = -sims if order == "most" else sims
+        return words[cand[np.lexsort((words[cand], by_sim))[:n]]].tolist()
+
+    return rank
+
+
 def nearest_words(word: int, emb: EmbeddingMatrix, n: int, order: str = "most",
                   exclude: frozenset[int] = frozenset()) -> list[int]:
     """Top-n (or bottom-n) embedded words by cosine to the given word's row.
 
     The word itself, zero-vector rows, and excluded indices never appear.
-    Ties break on word index for determinism.
+    Ties break on word index for determinism. A word listed twice in
+    emb.words is ranked from its first row.
     """
     if order not in ("most", "least"):
         raise ValueError(f"order must be 'most' or 'least', got {order!r}")
@@ -69,22 +99,7 @@ def nearest_words(word: int, emb: EmbeddingMatrix, n: int, order: str = "most",
         i = emb.words.index(word)
     except ValueError:
         raise ValueError(f"word {word} has no embedding") from None
-    v = emb.rows[i]
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("zero vector")
-    norms = np.linalg.norm(emb.rows, axis=1)
-    scored = []
-    for j, w in enumerate(emb.words):
-        if j == i or w in exclude or norms[j] == 0.0:
-            continue
-        sim = float(np.dot(v, emb.rows[j]) / (nv * norms[j]))
-        scored.append((sim, w))
-    if order == "most":
-        scored.sort(key=lambda t: (-t[0], t[1]))
-    else:
-        scored.sort(key=lambda t: (t[0], t[1]))
-    return [w for _, w in scored[:n]]
+    return _ranker(emb, exclude)(i, n, order)
 
 
 def _substitution_pools(emb: EmbeddingMatrix, vocab: Vocabulary,
@@ -98,13 +113,17 @@ def _substitution_pools(emb: EmbeddingMatrix, vocab: Vocabulary,
         order = "least"
         exclude = frozenset(vocab.index_of[t] for t in STOPWORDS
                             if t in vocab.index_of)
+    rank = _ranker(emb, exclude)
+    first_row: dict[int, int] = {}
+    for i, w in enumerate(emb.words):
+        first_row.setdefault(w, i)
     pools = {}
     for w in needed:
+        i = first_row.get(w)
         try:
-            pool = nearest_words(w, emb, cfg.pool_size, order, exclude)
-        except ValueError:
-            pool = []
-        pools[w] = pool
+            pools[w] = [] if i is None else rank(i, cfg.pool_size, order)
+        except ValueError:  # a zero row ranks nothing
+            pools[w] = []
     return pools
 
 
@@ -114,13 +133,16 @@ def augment_document(doc: LabeledDocument, emb: EmbeddingMatrix,
                      pools: dict[int, list[int]] | None = None
                      ) -> LabeledDocument:
     """Replace ceil(replace_fraction * replaceable) token positions from the
-    label's similarity pools; tokens without a usable pool are never selected."""
-    embedded = set(emb.words)
+    label's similarity pools; tokens without a usable pool are never selected.
+
+    pools maps word index to its pool, as augment_corpus builds them for every
+    embedded word of the corpus; without it the document's own are built."""
     present = [(p, vocab.index_of[t]) for p, t in enumerate(doc.tokens)
-               if t in vocab.index_of and vocab.index_of[t] in embedded]
+               if t in vocab.index_of]
     if pools is None:
+        embedded = set(emb.words)
         pools = _substitution_pools(emb, vocab, cfg, doc.label,
-                                    {w for _, w in present})
+                                    {w for _, w in present if w in embedded})
     replaceable = [(p, w) for p, w in present if pools.get(w)]
     if not replaceable:
         return doc
@@ -138,9 +160,10 @@ def augment_corpus(docs, emb: EmbeddingMatrix, vocab: Vocabulary,
                    cfg: AugmentConfig) -> list[LabeledDocument]:
     """One augmented copy per document, same order, deterministic for a seed."""
     rng = np.random.default_rng(cfg.seed)
+    embedded = set(emb.words)
     needed = set()
     for doc in docs:
-        needed.update(doc.word_set & set(emb.words))
+        needed.update(doc.word_set & embedded)
     pools_by_label = {
         label: _substitution_pools(emb, vocab, cfg, label, needed)
         for label in (POSITIVE, NEGATIVE)

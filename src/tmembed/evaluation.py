@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 REPORT_HEADER = "# C column: mean cosine of model scores over evaluable pairs"
 
@@ -42,12 +41,16 @@ def _check_rank_input(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 def spearman(xs, ys) -> float:
     """Pearson correlation of mid-ranks."""
+    from scipy import stats  # here, so that importing tmembed skips scipy
+
     xs, ys = _check_rank_input(xs, ys)
     return float(stats.spearmanr(xs, ys).statistic)
 
 
 def kendall(xs, ys) -> float:
     """Tau-b (tie-adjusted)."""
+    from scipy import stats
+
     xs, ys = _check_rank_input(xs, ys)
     return float(stats.kendalltau(xs, ys, variant="b").statistic)
 

@@ -27,7 +27,6 @@ class EmbeddingMatrix:
 
     words: tuple[int, ...]
     rows: np.ndarray
-    source: str = "signed clause-weight accumulation over included literals"
 
 
 @dataclass
@@ -159,29 +158,52 @@ def load_embeddings(path, num_literals: int | None = None
     """Read either embedding format back into (tokens, rows).
 
     Sparse files need num_literals (2V) unless at least one row's last
-    coordinate is nonzero; dense files carry their width implicitly.
+    coordinate is nonzero; dense files carry their width implicitly, and
+    rows narrower than num_literals are zero-padded. A token with no cells
+    is a zero row. A malformed cell, a negative literal index, a dense row
+    whose width differs from the file's other dense rows, or a token seen
+    twice raises ValueError naming the line.
     """
     tokens: list[str] = []
     parsed: list[tuple[bool, list]] = []
+    first_line: dict[str, int] = {}
     width = num_literals or 0
+    dense_width = dense_line = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split(None, 1)
             if not parts:
                 continue
-            tokens.append(parts[0])
-            cells = parts[1:]
-            is_sparse = any(":" in c for c in cells)
+            token = parts[0]
+            where = f"{path}:{lineno}"
+            if token in first_line:
+                raise ValueError(f"{where}: duplicate token {token!r} "
+                                 f"(first on line {first_line[token]})")
+            first_line[token] = lineno
+            tokens.append(token)
+            rest = parts[1] if len(parts) > 1 else ""
+            is_sparse = ":" in rest
+            try:
+                if is_sparse:
+                    cells = [(int(l), float(v)) for l, v in
+                             (c.split(":") for c in rest.split())]
+                else:
+                    cells = list(map(float, rest.split()))
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
             if is_sparse:
-                pairs = []
-                for c in cells:
-                    l, v = c.split(":")
-                    pairs.append((int(l), float(v)))
-                    width = max(width, int(l) + 1)
-                parsed.append((True, pairs))
-            else:
-                parsed.append((False, [float(v) for v in cells]))
+                if min(l for l, _ in cells) < 0:
+                    raise ValueError(f"{where}: negative literal index")
+                width = max(width, max(l for l, _ in cells) + 1)
+            elif cells:
+                if dense_width is None:
+                    dense_width, dense_line = len(cells), lineno
+                elif len(cells) != dense_width:
+                    raise ValueError(
+                        f"{where}: {len(cells)} values, but line "
+                        f"{dense_line} has {dense_width}")
                 width = max(width, len(cells))
+            parsed.append((is_sparse, cells))
     rows = np.zeros((len(tokens), width), dtype=np.float64)
     for i, (is_sparse, cells) in enumerate(parsed):
         if is_sparse:

@@ -91,3 +91,35 @@ def pairwise_cosine_table(rows):
     n = len(rows)
     return {(i, j): cos(rows[i], rows[j]) for i in range(n) for j in range(n)
             if i != j}
+
+
+def nearest_words_loop(word, emb, n, order="most", exclude=frozenset()):
+    """Cosine ranking one candidate at a time, ties on word index.
+
+    The per-pair loop tmembed.augment.nearest_words used before it ranked
+    with one matrix-vector product; kept as its reference.
+    """
+    import numpy as np
+
+    if order not in ("most", "least"):
+        raise ValueError(f"order must be 'most' or 'least', got {order!r}")
+    try:
+        i = emb.words.index(word)
+    except ValueError:
+        raise ValueError(f"word {word} has no embedding") from None
+    v = emb.rows[i]
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        raise ValueError("zero vector")
+    norms = np.linalg.norm(emb.rows, axis=1)
+    scored = []
+    for j, w in enumerate(emb.words):
+        if j == i or w in exclude or norms[j] == 0.0:
+            continue
+        sim = float(np.dot(v, emb.rows[j]) / (nv * norms[j]))
+        scored.append((sim, w))
+    if order == "most":
+        scored.sort(key=lambda t: (-t[0], t[1]))
+    else:
+        scored.sort(key=lambda t: (t[0], t[1]))
+    return [w for _, w in scored[:n]]

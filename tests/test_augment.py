@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from tmembed import cotm
 from tmembed.corpus import Vocabulary
 from tmembed.phase2 import EmbeddingMatrix
 from conftest import sentiment_fixture
-from oracles import pairwise_cosine_table
+from oracles import nearest_words_loop, pairwise_cosine_table
 
 
 def toy_embeddings():
@@ -68,6 +69,31 @@ def test_nearest_words_errors_and_exclusions():
         aug.nearest_words(0, zero, 1)
     assert aug.nearest_words(0, emb, 4, exclude=frozenset({1})) == \
         [w for w in aug.nearest_words(0, emb, 4) if w != 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ranking_matches_loop_oracle_on_tied_integer_rows(seed):
+    # Few distinct small-integer rows give many exact cosine ties; some rows
+    # are zero, word indices are shuffled and one word is listed twice.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(5, 30))
+    rows = rng.integers(-2, 3, size=(k, int(rng.integers(2, 7)))).astype(float)
+    rows[rng.random(k) < 0.15] = 0.0
+    words = [int(w) for w in rng.permutation(3 * k)[:k]]
+    words[-1] = words[0]
+    emb = EmbeddingMatrix(words=tuple(words), rows=rows)
+    exclude = frozenset(int(w) for w in rng.choice(words, size=3))
+    for w in set(words):
+        for order in ("most", "least"):
+            for ex in (frozenset(), exclude):
+                for n in (1, 3, k + 5):
+                    try:
+                        expected = nearest_words_loop(w, emb, n, order, ex)
+                    except ValueError as err:
+                        with pytest.raises(ValueError, match=str(err)):
+                            aug.nearest_words(w, emb, n, order, ex)
+                        continue
+                    assert aug.nearest_words(w, emb, n, order, ex) == expected
 
 
 # ---- document augmentation ----
@@ -222,3 +248,36 @@ def test_make_document_validates_label():
     vocab = Vocabulary.from_words(["a"])
     with pytest.raises(ValueError, match="label"):
         aug.make_document(["a"], vocab, 2)
+
+
+# sha256 of augment_corpus's output for pinned_augment_inputs, written as the
+# augment command writes aug.txt followed by aug.txt.labels. Computed with the
+# per-pair ranking loop; any change to the pools, the draws or the tie-breaks
+# moves it.
+PINNED_AUGMENT_SHA256 = \
+    "24f9e6ba2084e48792b977b502df5c7435bd1a89c0daad358ff63ae173f61fc0"
+
+
+def pinned_augment_inputs():
+    # small-integer rows (exact ties), a zero row, embedded stopwords, two
+    # vocabulary words without an embedding and an out-of-vocabulary token
+    words = ["the", "a", "of"] + [f"t{i:02d}" for i in range(13)]
+    vocab = Vocabulary.from_words(words)
+    rng = np.random.default_rng(3)
+    rows = rng.integers(-2, 3, size=(14, 6)).astype(np.float64)
+    rows[5] = 0.0
+    emb = EmbeddingMatrix(words=tuple(range(14)), rows=rows)
+    toks = words + ["oov"]
+    docs = [aug.make_document(
+        [toks[j] for j in rng.integers(0, len(toks), size=9)], vocab, d % 2)
+        for d in range(40)]
+    return vocab, emb, docs
+
+
+def test_augment_corpus_output_is_pinned():
+    vocab, emb, docs = pinned_augment_inputs()
+    out = aug.augment_corpus(docs, emb, vocab, aug.AugmentConfig(
+        replace_fraction=0.4, pool_size=3, seed=9))
+    text = ("".join(" ".join(d.tokens) + "\n" for d in out)
+            + "".join(f"{d.label}\n" for d in out))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUGMENT_SHA256

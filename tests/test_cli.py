@@ -228,6 +228,20 @@ def test_augment_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_augment_rejects_corrupt_embeddings(tmp_path, capsys):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, train_l = paths["train"]
+    emb_path = tmp_path / "emb.txt"
+    sentiment_embeddings(vocab, emb_path)
+    lines = emb_path.read_text().splitlines()
+    emb_path.write_text("\n".join(lines + [lines[0]]) + "\n")
+    code = run(["augment", train_c, train_l, "--vocab", vpath,
+                "--embeddings", emb_path, "--out", tmp_path / "a.txt"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicate token" in err
+
+
 def test_classify_label_count_mismatch(tmp_path, capsys):
     vocab, paths, vpath = sentiment_files(tmp_path)
     train_c, train_l = paths["train"]

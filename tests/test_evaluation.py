@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +184,13 @@ def test_format_reports_table_and_machine_lines():
     assert "Avg..mean_cosine=0.85" in text
     # single benchmark: no average row
     assert "Avg." not in ev.format_reports(reports[:1])
+
+
+def test_importing_tmembed_does_not_load_scipy():
+    src = str(Path(ev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tmembed.phase1; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

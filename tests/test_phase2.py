@@ -252,6 +252,50 @@ def test_save_load_embeddings_dense_and_sparse(tmp_path):
     assert np.array_equal(loaded_s, rows)
 
 
+def test_load_embeddings_keeps_zero_rows_and_narrow_dense_rows(tmp_path):
+    # save_embeddings(sparse=True) writes a bare token for a zero row, and a
+    # dense file may be narrower than the 2V literal space
+    sparse = tmp_path / "emb.sparse.txt"
+    sparse.write_text("w0 1:2.5\nw1\nw2 0:-1\n")
+    tokens, rows = phase2.load_embeddings(sparse, num_literals=4)
+    assert tokens == ["w0", "w1", "w2"]
+    assert rows.tolist() == [[0, 2.5, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0]]
+    dense = tmp_path / "emb.txt"
+    dense.write_text("w0 1 2\nw1 0 3\n")
+    tokens, rows = phase2.load_embeddings(dense, num_literals=6)
+    assert rows.tolist() == [[1, 2, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0]]
+
+
+def test_load_embeddings_rejects_a_truncated_dense_row(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("w0 1 2 3 4\nw1 5 6 7 8\nw2 9 1\n")
+    with pytest.raises(ValueError, match=r"emb.txt:3: 2 values, but line 1 "
+                                         r"has 4"):
+        phase2.load_embeddings(path)
+
+
+def test_load_embeddings_rejects_a_negative_literal_index(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("w0 0:1 2:4\nw1 -1:3.0\n")
+    with pytest.raises(ValueError, match=r"emb.txt:2: negative literal index"):
+        phase2.load_embeddings(path, num_literals=4)
+
+
+def test_load_embeddings_rejects_a_duplicate_token(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("w0 1 0\nw1 0 1\nw0 1 1\n")
+    with pytest.raises(ValueError, match=r"emb.txt:3: duplicate token 'w0' "
+                                         r"\(first on line 1\)"):
+        phase2.load_embeddings(path)
+
+
+def test_load_embeddings_names_the_line_of_a_malformed_cell(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("w0 1 0\nw1 0 x\n")
+    with pytest.raises(ValueError, match=r"emb.txt:2: could not convert"):
+        phase2.load_embeddings(path)
+
+
 def test_token_vectors_maps_rows():
     vocab = Vocabulary.from_words(["a", "b", "c"])
     emb = phase2.EmbeddingMatrix(words=(1, 2), rows=np.eye(2, 6))

@@ -46,7 +46,6 @@ def make_document(tokens, vocab: Vocabulary, label: int) -> LabeledDocument:
 class AugmentConfig:
     replace_fraction: float = 0.15
     pool_size: int = 10
-    similar_for_positive: bool = True
     seed: int = 0
 
     def __post_init__(self):

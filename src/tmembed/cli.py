@@ -3,6 +3,8 @@
 Every run resolves its settings as defaults < config file (--config, JSON)
 < explicit flags, writes its primary output to --out, and drops a JSON run
 manifest (settings, seed, input digests, output paths, wall time) next to it.
+Library settings, their types and defaults are the fields of the command's
+config class; only command-specific settings are declared here.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -14,6 +16,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -49,7 +53,7 @@ def _write_manifest(command: str, cfg: dict, inputs: list[str],
                     outputs: list[str], t0: float) -> None:
     manifest = {
         "command": command,
-        "config": {k: v for k, v in sorted(cfg.items()) if k != "config"},
+        "config": cfg,
         "seed": cfg.get("seed"),
         "input_digests": {p: _sha256_file(p) for p in inputs},
         "output_paths": outputs,
@@ -60,22 +64,57 @@ def _write_manifest(command: str, cfg: dict, inputs: list[str],
         fh.write("\n")
 
 
-DEFAULTS: dict[str, dict] = {
-    "vocab": {"max_vocab": 20000, "seed": 0},
-    "phase1": {"vocab": None, "vocab_size": 20000, "vocab_out": None,
-               "word": None, "jobs": None,
-               "r": 2000, "a": 25, "clauses": 1600, "T": 3200, "s": 5.0,
-               "N": 128, "epochs": 25, "seed": 0},
-    "phase2": {"sparse": False,
-               "r": 2000, "a": 25, "clauses": 1600, "T": 3200, "s": 5.0,
-               "N": 128, "epochs": 25, "seed": 0},
-    "eval": {"seed": 0},
-    "augment": {"labels_out": None, "replace_fraction": 0.15, "pool_size": 10,
-                "seed": 0},
-    "classify": {"extra": None, "extra_labels": None,
-                 "clauses": 1000, "T": 8000, "s": 2.0, "N": 128, "epochs": 10,
-                 "seed": 0},
+# Library settings live in these configs: each field is a flag and a
+# config-file key of the same name, except where _KEYS renames it.
+LIBRARY_CONFIGS = {
+    "phase1": p1.Phase1Config,
+    "phase2": p1.Phase1Config,
+    "augment": aug.AugmentConfig,
+    "classify": aug.ClassifierConfig,
 }
+_KEYS = {"num_clauses": "clauses"}
+
+
+class Setting(NamedTuple):
+    type: object  # what the flag parses; a config-file value must match it
+    default: object
+    help: str | None = None
+
+
+# Settings that belong to one command rather than to a library config.
+COMMAND_SETTINGS: dict[str, dict[str, Setting]] = {
+    "vocab": {"max_vocab": Setting(int, 20000)},
+    "phase1": {
+        "vocab": Setting(_existing_file, None,
+                         "existing vocabulary file (else built from the corpus)"),
+        "vocab_size": Setting(int, 20000),
+        "vocab_out": Setting(str, None,
+                             "where to write the vocabulary (default: OUT.vocab)"),
+        "word": Setting(str, None,
+                        "retrain a single word inside the existing store at --out"),
+        "jobs": Setting(int, None, f"worker processes (default: ${JOBS_ENV} or 1)"),
+    },
+    "phase2": {"sparse": Setting(bool, False)},
+    "eval": {},
+    "augment": {"labels_out": Setting(str, None,
+                                      "aligned label file (default: OUT.labels)")},
+    "classify": {
+        "extra": Setting(_existing_file, None,
+                         "additional (augmented) training corpus"),
+        "extra_labels": Setting(_existing_file, None),
+    },
+}
+
+
+def settings(command: str) -> dict[str, Setting]:
+    """Every setting of a command by key: its own, then its library config's."""
+    out = dict(COMMAND_SETTINGS[command])
+    cls = LIBRARY_CONFIGS.get(command)
+    if cls is not None:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            out[_KEYS.get(f.name, f.name)] = Setting(hints[f.name], f.default)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,116 +124,104 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     S = argparse.SUPPRESS
 
-    def add_common(p):
+    def add_settings(p, command):
+        for key, s in settings(command).items():
+            kind = {"action": "store_true"} if s.type is bool else {"type": s.type}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=S,
+                           help=s.help, **kind)
         p.add_argument("--config", type=_existing_file, default=None,
                        help="JSON file of flag defaults; explicit flags win")
         p.add_argument("--out", required=True, help="primary output path")
-        p.add_argument("--seed", type=int, default=S)
 
     p = sub.add_parser("vocab", help="build a vocabulary file from a corpus")
     p.add_argument("corpus", type=_existing_file)
-    p.add_argument("--max-vocab", dest="max_vocab", type=int, default=S)
-    add_common(p)
+    add_settings(p, "vocab")
 
     p = sub.add_parser("phase1", help="extract per-word clause knowledge")
     p.add_argument("corpus", type=_existing_file)
-    p.add_argument("--vocab", type=_existing_file, default=S,
-                   help="existing vocabulary file (else built from the corpus)")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=S)
-    p.add_argument("--vocab-out", dest="vocab_out", default=S,
-                   help="where to write the vocabulary (default: OUT.vocab)")
-    p.add_argument("--word", default=S,
-                   help="retrain a single word inside the existing store at --out")
-    p.add_argument("--jobs", type=int, default=S,
-                   help=f"worker processes (default: ${JOBS_ENV} or 1)")
-    for flag, typ in (("r", int), ("a", int), ("clauses", int), ("T", int),
-                      ("s", float), ("N", int), ("epochs", int)):
-        p.add_argument(f"--{flag}", type=typ, default=S)
-    add_common(p)
+    add_settings(p, "phase1")
 
     p = sub.add_parser("phase2", help="train embeddings for target words")
     p.add_argument("knowledge", type=_existing_file)
     p.add_argument("targets", type=_existing_file,
                    help="target words, one token per line")
     p.add_argument("--vocab", type=_existing_file, required=True)
-    p.add_argument("--sparse", action="store_true", default=S)
-    for flag, typ in (("r", int), ("a", int), ("clauses", int), ("T", int),
-                      ("s", float), ("N", int), ("epochs", int)):
-        p.add_argument(f"--{flag}", type=typ, default=S)
-    add_common(p)
+    add_settings(p, "phase2")
 
     p = sub.add_parser("eval", help="score embeddings against benchmarks")
     p.add_argument("embeddings", type=_existing_file)
     p.add_argument("benchmarks", nargs="+",
                    help="benchmark files: word_a<TAB>word_b<TAB>score per line")
-    add_common(p)
+    add_settings(p, "eval")
 
     p = sub.add_parser("augment", help="similarity-guided word substitution")
     p.add_argument("corpus", type=_existing_file)
     p.add_argument("labels", type=_existing_file)
     p.add_argument("--vocab", type=_existing_file, required=True)
     p.add_argument("--embeddings", type=_existing_file, required=True)
-    p.add_argument("--labels-out", dest="labels_out", default=S,
-                   help="aligned label file (default: OUT.labels)")
-    p.add_argument("--replace-fraction", dest="replace_fraction", type=float,
-                   default=S)
-    p.add_argument("--pool-size", dest="pool_size", type=int, default=S)
-    add_common(p)
+    add_settings(p, "augment")
 
     p = sub.add_parser("classify", help="train and evaluate the sentiment classifier")
     p.add_argument("--train", type=_existing_file, required=True)
     p.add_argument("--train-labels", dest="train_labels", type=_existing_file,
                    required=True)
-    p.add_argument("--extra", type=_existing_file, default=S,
-                   help="additional (augmented) training corpus")
-    p.add_argument("--extra-labels", dest="extra_labels", type=_existing_file,
-                   default=S)
     p.add_argument("--test", type=_existing_file, required=True)
     p.add_argument("--test-labels", dest="test_labels", type=_existing_file,
                    required=True)
     p.add_argument("--vocab", type=_existing_file, required=True)
-    for flag, typ in (("clauses", int), ("T", int), ("s", float), ("N", int),
-                      ("epochs", int)):
-        p.add_argument(f"--{flag}", type=typ, default=S)
-    add_common(p)
+    add_settings(p, "classify")
 
     return parser
 
 
+# The JSON types a config-file value may have, by its flag's type.
+_FILE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(DEFAULTS[args.command])
+    """defaults < config file < explicit flags, keyed by flag name."""
+    known = settings(args.command)
+    cfg = {key: s.default for key, s in known.items()}
     given = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = given.pop("config", None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise UsageError(f"{config_path}: {err}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
         for key, value in file_cfg.items():
-            if key not in cfg:
+            if key not in known:
                 raise UsageError(
                     f"{config_path}: unknown option {key!r} for command "
                     f"{args.command!r}")
-            default = cfg[key]
-            if isinstance(default, bool):
-                cfg[key] = bool(value)
-            elif isinstance(default, int):
-                cfg[key] = int(value)
-            elif isinstance(default, float):
-                cfg[key] = float(value)
-            else:
-                cfg[key] = value
+            want = _FILE_TYPES.get(known[key].type, (str,))
+            if type(value) not in want:
+                raise UsageError(
+                    f"{config_path}: {key} must be "
+                    f"{' or '.join(t.__name__ for t in want)}, got {value!r}")
+            cfg[key] = float(value) if float in want else value
     cfg.update(given)
     if "jobs" in cfg:
-        if "jobs" in given:
-            source = "--jobs"
-        elif cfg["jobs"] is not None:
-            source = f"{config_path}: jobs"
-        else:
+        source = "--jobs" if "jobs" in given else f"{config_path}: jobs"
+        if cfg["jobs"] is None:
             source, cfg["jobs"] = JOBS_ENV, os.environ.get(JOBS_ENV, "1")
         cfg["jobs"] = _worker_count(cfg["jobs"], source)
+    if "extra" in cfg and bool(cfg["extra"]) != bool(cfg["extra_labels"]):
+        raise UsageError("--extra and --extra-labels must be given together")
     return cfg
+
+
+def build_config(command: str, cfg: dict):
+    """The command's library config from its resolved settings (else None);
+    a value the config rejects is a usage error."""
+    cls = LIBRARY_CONFIGS.get(command)
+    try:
+        return cls and cls(**{f.name: cfg[_KEYS.get(f.name, f.name)] for f in fields(cls)})
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _worker_count(value, source: str) -> int:
@@ -218,7 +245,7 @@ def _load_labeled(corpus_path, labels_path, vocab) -> list[aug.LabeledDocument]:
     return [aug.make_document(toks, vocab, lab) for toks, lab in zip(raw, labels)]
 
 
-def cmd_vocab(cfg: dict) -> int:
+def cmd_vocab(cfg: dict, _: None) -> int:
     t0 = time.monotonic()
     vocab = corp.build_vocabulary(corp.read_corpus(cfg["corpus"]), cfg["max_vocab"])
     corp.save_vocabulary(vocab, cfg["out"])
@@ -227,7 +254,7 @@ def cmd_vocab(cfg: dict) -> int:
     return 0
 
 
-def cmd_phase1(cfg: dict) -> int:
+def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> int:
     t0 = time.monotonic()
     raw = corp.read_corpus(cfg["corpus"])
     inputs = [cfg["corpus"]]
@@ -240,9 +267,6 @@ def cmd_phase1(cfg: dict) -> int:
     # Training needs only ds; freed token lists stay out of the memory that
     # forked Phase-1 workers inherit.
     del raw
-    p1cfg = p1.Phase1Config(r=cfg["r"], a=cfg["a"], epochs=cfg["epochs"],
-                            num_clauses=cfg["clauses"], T=cfg["T"], s=cfg["s"],
-                            N=cfg["N"], seed=cfg["seed"])
     outputs = [cfg["out"]]
     if cfg["word"] is not None:
         token = cfg["word"]
@@ -250,12 +274,7 @@ def cmd_phase1(cfg: dict) -> int:
             raise ValueError(f"word {token!r} not in vocabulary")
         store = kn.load(cfg["out"], vocab)
         w = vocab.index_of[token]
-        try:
-            store.entries[w] = p1.train_word(ds, w, p1cfg)
-            store.failures.pop(w, None)
-        except ValueError as err:
-            store.entries[w] = kn.WordKnowledge(word=w, clauses=())
-            store.failures[w] = str(err)
+        p1.record_result(store, w, p1.train_or_error(ds, w, p1cfg))
         kn.save(store, cfg["out"])
         print(f"retrained {token!r} -> {cfg['out']}")
     else:
@@ -273,7 +292,7 @@ def cmd_phase1(cfg: dict) -> int:
     return 0
 
 
-def cmd_phase2(cfg: dict) -> int:
+def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
     store = kn.load(cfg["knowledge"], vocab)
@@ -284,9 +303,6 @@ def cmd_phase2(cfg: dict) -> int:
     if missing:
         raise ValueError(f"target words absent from store: {', '.join(missing)}")
     targets = [vocab.index_of[t] for t in tokens]
-    p2cfg = p1.Phase1Config(r=cfg["r"], a=cfg["a"], epochs=cfg["epochs"],
-                            num_clauses=cfg["clauses"], T=cfg["T"], s=cfg["s"],
-                            N=cfg["N"], seed=cfg["seed"])
     _, emb = p2.train_embedding(store, targets, p2cfg)
     p2.save_embeddings(emb, vocab, cfg["out"], sparse=cfg["sparse"])
     _write_manifest("phase2", cfg,
@@ -296,7 +312,7 @@ def cmd_phase2(cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict) -> int:
+def cmd_eval(cfg: dict, _: None) -> int:
     t0 = time.monotonic()
     tokens, rows = p2.load_embeddings(cfg["embeddings"])
     vectors = {t: rows[i] for i, t in enumerate(tokens)}
@@ -319,7 +335,7 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_augment(cfg: dict) -> int:
+def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
     docs = _load_labeled(cfg["corpus"], cfg["labels"], vocab)
@@ -328,8 +344,6 @@ def cmd_augment(cfg: dict) -> int:
     emb = p2.EmbeddingMatrix(
         words=tuple(vocab.index_of[t] for t, _ in known),
         rows=rows[[i for _, i in known]])
-    acfg = aug.AugmentConfig(replace_fraction=cfg["replace_fraction"],
-                             pool_size=cfg["pool_size"], seed=cfg["seed"])
     augmented = aug.augment_corpus(docs, emb, vocab, acfg)
     labels_out = cfg["labels_out"] or cfg["out"] + ".labels"
     with open(cfg["out"], "w", encoding="utf-8") as fh:
@@ -345,21 +359,16 @@ def cmd_augment(cfg: dict) -> int:
     return 0
 
 
-def cmd_classify(cfg: dict) -> int:
+def cmd_classify(cfg: dict, ccfg: aug.ClassifierConfig) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
     train_docs = _load_labeled(cfg["train"], cfg["train_labels"], vocab)
     inputs = [cfg["train"], cfg["train_labels"], cfg["vocab"],
               cfg["test"], cfg["test_labels"]]
     if cfg["extra"]:
-        if not cfg["extra_labels"]:
-            raise UsageError("--extra requires --extra-labels")
         train_docs += _load_labeled(cfg["extra"], cfg["extra_labels"], vocab)
         inputs += [cfg["extra"], cfg["extra_labels"]]
     test_docs = _load_labeled(cfg["test"], cfg["test_labels"], vocab)
-    ccfg = aug.ClassifierConfig(num_clauses=cfg["clauses"], T=cfg["T"],
-                                s=cfg["s"], N=cfg["N"], epochs=cfg["epochs"],
-                                seed=cfg["seed"])
     bank = aug.train_classifier(train_docs, vocab.size, ccfg)
     acc, counts = aug.accuracy(bank, test_docs)
     lines = [f"accuracy={acc:.6f}"]
@@ -387,13 +396,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
+        config = build_config(args.command, cfg)
     except UsageError as err:
         parser.error(str(err))
     try:
-        return COMMANDS[args.command](cfg)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.command](cfg, config)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

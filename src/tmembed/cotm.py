@@ -114,12 +114,8 @@ def clause_output(bank: ClauseBank, c: int, x, mode: str = "infer") -> int:
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not 0 <= c < bank.num_clauses:
         raise ValueError(f"clause id {c} out of range")
-    x = _check_input(bank, x)
-    row = bank.states[c] > bank.N
-    matched = not (row & (x == 0)).any()
-    if mode == "train":
-        return int(matched)
-    return int(matched and row.any())
+    out_train, out_infer = _clause_outputs(bank, _check_input(bank, x))
+    return int((out_train if mode == "train" else out_infer)[c])
 
 
 def predict(bank: ClauseBank, x) -> np.ndarray:
@@ -132,10 +128,13 @@ def predict(bank: ClauseBank, x) -> np.ndarray:
 
 def vote_sum(bank: ClauseBank, x, o: int) -> int:
     """Weighted clause vote for output o, clamped to [-T, T]."""
-    x = _check_input(bank, x)
+    _, out_infer = _clause_outputs(bank, _check_input(bank, x))
+    return _clamped_vote(bank, out_infer, o)
+
+
+def _clamped_vote(bank: ClauseBank, out_infer: np.ndarray, o: int) -> int:
     if not 0 <= o < bank.num_outputs:
         raise ValueError(f"output id {o} out of range")
-    _, out_infer = _clause_outputs(bank, x)
     v = int(bank.weights[:, o].astype(np.int64) @ out_infer)
     return max(-bank.T, min(bank.T, v))
 
@@ -158,14 +157,11 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
     States saturate at [1, 2N].
     """
     x = _check_input(bank, x)
-    if not 0 <= o < bank.num_outputs:
-        raise ValueError(f"output id {o} out of range")
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
 
     out_train, out_infer = _clause_outputs(bank, x)
-    v = int(bank.weights[:, o].astype(np.int64) @ out_infer)
-    v = max(-bank.T, min(bank.T, v))
+    v = _clamped_vote(bank, out_infer, o)
     p_act = (bank.T - v) / (2 * bank.T) if q == 1 else (bank.T + v) / (2 * bank.T)
     active = rng.random(bank.num_clauses) < p_act
 

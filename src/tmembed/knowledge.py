@@ -146,10 +146,10 @@ def save(store: KnowledgeStore, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, last_good: int | None = None):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.last_good = last_good
+        self.last_good: int | None = None  # word of the last record read whole
 
     def take(self, fmt: str):
         size = struct.calcsize(fmt)
@@ -159,15 +159,6 @@ class _Reader:
                 f"(last good word index: {self.last_good})")
         out = struct.unpack_from(fmt, self.data, self.pos)
         self.pos += size
-        return out
-
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError(
-                f"corrupt knowledge file: truncated at byte {self.pos} "
-                f"(last good word index: {self.last_good})")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
         return out
 
 
@@ -184,13 +175,11 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
     if digest != vocab.digest() or V != vocab.size:
         raise ValueError("knowledge/vocabulary mismatch")
     store = KnowledgeStore(vocab_hash=digest, V=V)
-    last_good: int | None = None
     for _ in range(count):
-        r.last_good = last_good
         (record_len,) = r.take("<I")
         record_end = r.pos + record_len
         word, flag, msg_len = r.take("<IBH")
-        msg = r.take_bytes(msg_len).decode("utf-8")
+        msg = r.take(f"<{msg_len}s")[0].decode("utf-8")
         (clause_count,) = r.take("<I")
         clauses = []
         for _ in range(clause_count):
@@ -204,7 +193,7 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
         if r.pos != record_end:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} ends at byte "
-                f"{r.pos}, expected {record_end} (last good word index: {last_good})")
+                f"{r.pos}, expected {record_end} (last good word index: {r.last_good})")
         k = WordKnowledge(word=word, clauses=tuple(clauses))
         _validate_knowledge(k, V)
         if word >= V:
@@ -212,7 +201,7 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
         store.entries[word] = k
         if flag:
             store.failures[word] = msg
-        last_good = word
+        r.last_good = word
     return store
 
 

@@ -35,8 +35,10 @@ class Phase1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1 or self.a < 1 or self.epochs < 1:
-            raise ValueError("r, a and epochs must be >= 1")
+        if min(self.r, self.a, self.epochs, self.num_clauses, self.T, self.N) < 1:
+            raise ValueError("r, a, epochs, num_clauses, T and N must be >= 1")
+        if self.s <= 1.0:
+            raise ValueError("s must be > 1")
 
 
 def document_pools(ds: DocumentSet, word: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,10 +57,7 @@ def pick_documents(ds: DocumentSet, word: int, q: int, a: int,
     """
     if not 0 <= word < ds.V:
         raise ValueError(f"word index {word} out of range")
-    if pools is not None:
-        eligible = pools[q]
-    else:
-        eligible = ds.containing(word) if q == 1 else ds.not_containing(word)
+    eligible = (pools or document_pools(ds, word))[q]
     if eligible.size == 0:
         kind = "supporting" if q == 1 else "non-supporting"
         raise ValueError(f"no {kind} documents for word {word}")
@@ -110,8 +109,8 @@ def _init_worker(ds: DocumentSet) -> None:
     _worker_ds = ds
 
 
-def _train_or_error(ds: DocumentSet, word: int,
-                    cfg: Phase1Config) -> WordKnowledge | ValueError:
+def train_or_error(ds: DocumentSet, word: int,
+                   cfg: Phase1Config) -> WordKnowledge | ValueError:
     try:
         return train_word(ds, word, cfg)
     except ValueError as err:
@@ -119,7 +118,18 @@ def _train_or_error(ds: DocumentSet, word: int,
 
 
 def _train_in_worker(word: int, cfg: Phase1Config) -> WordKnowledge | ValueError:
-    return _train_or_error(_worker_ds, word, cfg)
+    return train_or_error(_worker_ds, word, cfg)
+
+
+def record_result(store: KnowledgeStore, word: int,
+                  result: WordKnowledge | ValueError) -> None:
+    """Store a word's knowledge, or an empty entry plus its failure message."""
+    if isinstance(result, ValueError):
+        store.entries[word] = WordKnowledge(word=word, clauses=())
+        store.failures[word] = str(result)
+    else:
+        store.entries[word] = result
+        store.failures.pop(word, None)
 
 
 def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
@@ -140,11 +150,7 @@ def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
                                  initargs=(ds,)) as pool:
             results = list(pool.map(_train_in_worker, words, repeat(cfg)))
     else:
-        results = [_train_or_error(ds, w, cfg) for w in words]
+        results = [train_or_error(ds, w, cfg) for w in words]
     for w, result in zip(words, results):
-        if isinstance(result, ValueError):
-            store.entries[w] = WordKnowledge(word=w, clauses=())
-            store.failures[w] = str(result)
-        else:
-            store.entries[w] = result
+        record_result(store, w, result)
     return store

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -325,9 +327,150 @@ def test_nonpositive_jobs_in_config_file_is_usage_error(workdir, capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def resolved(command, *argv, config=None):
+    """A command's resolved settings and built library config, for argv."""
+    argv = [command, *map(str, argv), "--out", "x"]
+    if config is not None:
+        argv += ["--config", str(config)]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    return cfg, cli.build_config(command, cfg)
+
+
+# Input files each command requires; resolving settings only checks that
+# they exist, so this test file stands in for all of them.
+HERE = __file__
+REQUIRED = {
+    "phase1": [HERE],
+    "phase2": [HERE, HERE, "--vocab", HERE],
+    "augment": [HERE, HERE, "--vocab", HERE, "--embeddings", HERE],
+    "classify": ["--train", HERE, "--train-labels", HERE, "--test", HERE,
+                 "--test-labels", HERE, "--vocab", HERE],
+}
+
+
 def test_classifier_defaults_echo_reference_setup():
-    d = cli.DEFAULTS["classify"]
+    d, _ = resolved("classify", *REQUIRED["classify"])
     assert (d["clauses"], d["T"], d["s"], d["epochs"]) == (1000, 8000, 2.0, 10)
-    p1 = cli.DEFAULTS["phase1"]
+    p1, _ = resolved("phase1", *REQUIRED["phase1"])
     assert (p1["r"], p1["a"], p1["clauses"], p1["T"], p1["s"], p1["epochs"]) \
         == (2000, 25, 1600, 3200, 5.0, 25)
+
+
+# The long options scripts rely on; vocab and eval draw nothing at random
+# and take no --seed.
+BANK_FLAGS = ["--N", "--T", "--clauses", "--epochs", "--s", "--seed"]
+COMMON_FLAGS = ["--config", "--help", "--out"]
+LONG_OPTIONS = {
+    "vocab": ["--max-vocab"],
+    "phase1": ["--a", "--jobs", "--r", "--vocab", "--vocab-out", "--vocab-size",
+               "--word"] + BANK_FLAGS,
+    "phase2": ["--a", "--r", "--sparse", "--vocab"] + BANK_FLAGS,
+    "eval": [],
+    "augment": ["--embeddings", "--labels-out", "--pool-size",
+                "--replace-fraction", "--seed", "--vocab"],
+    "classify": ["--extra", "--extra-labels", "--test", "--test-labels",
+                 "--train", "--train-labels", "--vocab"] + BANK_FLAGS,
+}
+
+
+def test_each_subcommand_keeps_its_long_options():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    got = {command: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--")}
+           for command, p in subparsers.items()}
+    assert got == {command: set(flags + COMMON_FLAGS)
+                   for command, flags in LONG_OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", ["phase1", "phase2", "augment", "classify"])
+def test_every_config_field_is_set_by_flag_and_by_config_file(tmp_path,
+                                                              command):
+    cls = cli.LIBRARY_CONFIGS[command]
+    # a distinct valid value per field, so a value landing in the wrong
+    # field shows
+    want = {f.name: f.default * 0.75 if isinstance(f.default, float)
+            else f.default + 1 + i
+            for i, f in enumerate(dataclasses.fields(cls))}
+    keys = {name: "clauses" if name == "num_clauses" else name for name in want}
+    flags = [arg for name, value in want.items()
+             for arg in ("--" + keys[name].replace("_", "-"), value)]
+    _, by_flag = resolved(command, *REQUIRED[command], *flags)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({keys[n]: v for n, v in want.items()}))
+    _, by_file = resolved(command, *REQUIRED[command], config=config)
+    for built in (by_flag, by_file):
+        assert type(built) is cls
+        assert dataclasses.asdict(built) == want
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("phase2", '{"sparse": "false"}', "sparse"),
+    ("phase1", '{"r": 2.7}', "r"),
+    ("phase1", '{"jobs": 2.5}', "jobs"),
+    ("phase1", '{"r": "abc"}', "r"),
+    ("phase1", '{"r": true}', "r"),
+    ("phase1", '{"vocab_out": 3}', "vocab_out"),
+    ("classify", '{"s": [2]}', "s"),
+    ("phase1", '{"r": 2', None),
+])
+def test_config_file_value_of_the_wrong_type_is_usage_error(
+        tmp_path, command, text, key):
+    # main turns a UsageError from resolving settings into exit status 2
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    with pytest.raises(cli.UsageError) as exc:
+        resolved(command, *REQUIRED[command], config=config)
+    assert str(exc.value).startswith(f"{config}: {key or ''}")
+
+
+def test_config_file_numbers_take_their_setting_type(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"s": 3, "r": 7, "jobs": 2}')
+    cfg, p1cfg = resolved("phase1", *REQUIRED["phase1"], config=config)
+    assert (cfg["s"], cfg["r"], cfg["jobs"]) == (3.0, 7, 2)
+    assert type(p1cfg.s) is float
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--clauses", 0], "num_clauses"),
+    (["--T", 0], "T "),
+    (["--N", 0], "N "),
+    (["--s", 1.0], "s must be > 1"),
+], ids=["clauses", "T", "N", "s"])
+def test_phase1_rejects_bad_bank_settings_before_training(workdir, capsys,
+                                                          flags, message):
+    tmp, corpus, _ = workdir
+    out = tmp / "k.tmk"
+    with pytest.raises(SystemExit) as exc:
+        run(["phase1", corpus, "--vocab-size", 6, "--out", out] + FAST + flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (tmp / "k.tmk.vocab").exists()
+
+
+def test_phase2_rejects_bad_bank_settings_before_training(workdir, capsys):
+    tmp, corpus, targets = workdir
+    store, vocab_file, _ = pipeline(tmp, corpus, targets)
+    out = tmp / "emb2.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["phase2", store, targets, "--vocab", vocab_file, "--out", out]
+            + FAST + ["--clauses", 0])
+    assert exc.value.code == 2
+    assert "num_clauses" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_classify_extra_labels_without_extra_is_usage_error(tmp_path, capsys):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, train_l = paths["train"]
+    test_c, test_l = paths["test"]
+    out = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--train", train_c, "--train-labels", train_l,
+             "--extra-labels", train_l, "--test", test_c,
+             "--test-labels", test_l, "--vocab", vpath, "--out", out])
+    assert exc.value.code == 2
+    assert "--extra" in capsys.readouterr().err
+    assert not out.exists()

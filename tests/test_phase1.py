@@ -25,6 +25,9 @@ def test_config_validation():
         phase1.Phase1Config(a=0)
     with pytest.raises(ValueError):
         phase1.Phase1Config(epochs=0)
+    for bad in ({"num_clauses": 0}, {"T": 0}, {"N": 0}, {"s": 1.0}):
+        with pytest.raises(ValueError):
+            phase1.Phase1Config(**bad)
 
 
 def test_worked_example_builds_the_frozen_vector(worked_example):

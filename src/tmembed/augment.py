@@ -55,31 +55,39 @@ class AugmentConfig:
             raise ValueError("pool_size must be >= 1")
 
 
-def _ranker(emb: EmbeddingMatrix, exclude):
-    """rank(i, n, order): the first n words by cosine to row i of emb.
+def _ranker(emb: EmbeddingMatrix, rankings):
+    """rank(i, n): for each (order, exclude) in rankings, the first n words by
+    cosine to row i of emb ("most" similar first, or "least").
 
-    Row norms and the candidate mask are computed once here, so each call
-    costs one matrix-vector product and one sort over the k rows. Row i
-    itself, zero-vector rows and excluded words never appear; ties break on
-    word index, then on row position.
+    Row norms and each ranking's candidate mask are computed once here, so
+    each call costs one matrix-vector product plus one sort per ranking over
+    the k rows. Row i itself, zero-vector rows and a ranking's excluded words
+    never appear; ties break on word index, then on row position.
     """
     words = np.asarray(emb.words, dtype=np.int64)
     norms = np.linalg.norm(emb.rows, axis=1)
-    usable = norms != 0.0
-    usable &= ~np.fromiter((w in exclude for w in emb.words), dtype=bool,
-                           count=len(emb.words))
+    masks = []
+    for order, exclude in rankings:
+        usable = norms != 0.0
+        usable &= ~np.fromiter((w in exclude for w in emb.words), dtype=bool,
+                               count=len(emb.words))
+        masks.append((order, usable))
 
-    def rank(i: int, n: int, order: str) -> list[int]:
+    def rank(i: int, n: int) -> list[list[int]]:
         v = emb.rows[i]
         nv = np.linalg.norm(v)
         if nv == 0.0:
             raise ValueError("zero vector")
-        keep = usable.copy()
-        keep[i] = False
-        cand = np.flatnonzero(keep)
-        sims = (emb.rows @ v)[cand] / (nv * norms[cand])
-        by_sim = -sims if order == "most" else sims
-        return words[cand[np.lexsort((words[cand], by_sim))[:n]]].tolist()
+        dots = emb.rows @ v
+        out = []
+        for order, usable in masks:
+            keep = usable.copy()
+            keep[i] = False
+            cand = np.flatnonzero(keep)
+            sims = dots[cand] / (nv * norms[cand])
+            by_sim = -sims if order == "most" else sims
+            out.append(words[cand[np.lexsort((words[cand], by_sim))[:n]]].tolist())
+        return out
 
     return rank
 
@@ -98,31 +106,31 @@ def nearest_words(word: int, emb: EmbeddingMatrix, n: int, order: str = "most",
         i = emb.words.index(word)
     except ValueError:
         raise ValueError(f"word {word} has no embedding") from None
-    return _ranker(emb, exclude)(i, n, order)
+    return _ranker(emb, [(order, exclude)])(i, n)[0]
 
 
 def _substitution_pools(emb: EmbeddingMatrix, vocab: Vocabulary,
-                        cfg: AugmentConfig, label: int,
-                        needed) -> dict[int, list[int]]:
+                        cfg: AugmentConfig, labels,
+                        needed) -> dict[int, dict[int, list[int]]]:
+    """Each label's pools, {label: {word: pool}}, for every needed word;
+    each word's similarities are computed once for all labels."""
     # Dissimilar pools exclude stopwords; random junk words would still be
     # dissimilar, but frequent function words would wreck the document.
-    if label == POSITIVE:
-        order, exclude = "most", frozenset()
-    else:
-        order = "least"
-        exclude = frozenset(vocab.index_of[t] for t in STOPWORDS
-                            if t in vocab.index_of)
-    rank = _ranker(emb, exclude)
+    stop = frozenset(vocab.index_of[t] for t in STOPWORDS if t in vocab.index_of)
+    rankings = {POSITIVE: ("most", frozenset()), NEGATIVE: ("least", stop)}
+    rank = _ranker(emb, [rankings[label] for label in labels])
     first_row: dict[int, int] = {}
     for i, w in enumerate(emb.words):
         first_row.setdefault(w, i)
-    pools = {}
+    pools = {label: {} for label in labels}
     for w in needed:
         i = first_row.get(w)
         try:
-            pools[w] = [] if i is None else rank(i, cfg.pool_size, order)
+            ranked = [[] for _ in labels] if i is None else rank(i, cfg.pool_size)
         except ValueError:  # a zero row ranks nothing
-            pools[w] = []
+            ranked = [[] for _ in labels]
+        for label, pool in zip(labels, ranked):
+            pools[label][w] = pool
     return pools
 
 
@@ -140,8 +148,9 @@ def augment_document(doc: LabeledDocument, emb: EmbeddingMatrix,
                if t in vocab.index_of]
     if pools is None:
         embedded = set(emb.words)
-        pools = _substitution_pools(emb, vocab, cfg, doc.label,
-                                    {w for _, w in present if w in embedded})
+        pools = _substitution_pools(emb, vocab, cfg, (doc.label,),
+                                    {w for _, w in present if w in embedded}
+                                    )[doc.label]
     replaceable = [(p, w) for p, w in present if pools.get(w)]
     if not replaceable:
         return doc
@@ -163,10 +172,8 @@ def augment_corpus(docs, emb: EmbeddingMatrix, vocab: Vocabulary,
     needed = set()
     for doc in docs:
         needed.update(doc.word_set & embedded)
-    pools_by_label = {
-        label: _substitution_pools(emb, vocab, cfg, label, needed)
-        for label in (POSITIVE, NEGATIVE)
-    }
+    pools_by_label = _substitution_pools(emb, vocab, cfg, (POSITIVE, NEGATIVE),
+                                         needed)
     return [augment_document(doc, emb, vocab, cfg, rng, pools_by_label[doc.label])
             for doc in docs]
 
@@ -182,6 +189,12 @@ class ClassifierConfig:
     N: int = 128
     epochs: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.num_clauses, self.T, self.N, self.epochs) < 1:
+            raise ValueError("epochs, num_clauses, T and N must be >= 1")
+        if self.s <= 1.0:
+            raise ValueError("s must be > 1")
 
 
 def document_vector(doc: LabeledDocument, V: int) -> np.ndarray:

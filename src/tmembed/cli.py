@@ -272,10 +272,9 @@ def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> int:
         token = cfg["word"]
         if token not in vocab.index_of:
             raise ValueError(f"word {token!r} not in vocabulary")
-        store = kn.load(cfg["out"], vocab)
         w = vocab.index_of[token]
-        p1.record_result(store, w, p1.train_or_error(ds, w, p1cfg))
-        kn.save(store, cfg["out"])
+        kn.replace_word(cfg["out"], vocab, w,
+                        lambda: p1.train_or_error(ds, w, p1cfg))
         print(f"retrained {token!r} -> {cfg['out']}")
     else:
         store = p1.train_all(ds, vocab, p1cfg, parallelism=cfg["jobs"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import DocumentSet, Vocabulary
 from .cotm import init_bank, negation_closed_vector, update
-from .knowledge import KnowledgeStore, WordKnowledge, from_bank
+from .knowledge import KnowledgeStore, WordKnowledge, as_entry, from_bank
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ def pick_documents(ds: DocumentSet, word: int, q: int, a: int,
     """
     if not 0 <= word < ds.V:
         raise ValueError(f"word index {word} out of range")
+    if q not in (0, 1):
+        raise ValueError(f"target bit must be 0 or 1, got {q!r}")
     eligible = (pools or document_pools(ds, word))[q]
     if eligible.size == 0:
         kind = "supporting" if q == 1 else "non-supporting"
@@ -124,12 +126,11 @@ def _train_in_worker(word: int, cfg: Phase1Config) -> WordKnowledge | ValueError
 def record_result(store: KnowledgeStore, word: int,
                   result: WordKnowledge | ValueError) -> None:
     """Store a word's knowledge, or an empty entry plus its failure message."""
-    if isinstance(result, ValueError):
-        store.entries[word] = WordKnowledge(word=word, clauses=())
-        store.failures[word] = str(result)
-    else:
-        store.entries[word] = result
+    store.entries[word], msg = as_entry(word, result)
+    if msg is None:
         store.failures.pop(word, None)
+    else:
+        store.failures[word] = msg
 
 
 def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,

@@ -123,3 +123,75 @@ def nearest_words_loop(word, emb, n, order="most", exclude=frozenset()):
     else:
         scored.sort(key=lambda t: (t[0], t[1]))
     return [w for _, w in scored[:n]]
+
+
+def load_store_fieldwise(path, vocab):
+    """The knowledge store reader as it was before the record walker: reads
+    field by field with struct and decodes every literal in a Python loop.
+
+    Returns the KnowledgeStore, or raises ValueError with the same message
+    knowledge.load gave for the first fault it met.
+    """
+    import struct
+    from tmembed.knowledge import (MAGIC, VERSION, Clause, KnowledgeStore,
+                                   WordKnowledge)
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos, last_good = 0, None
+
+    def take(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            raise ValueError(
+                f"corrupt knowledge file: truncated at byte {pos} "
+                f"(last good word index: {last_good})")
+        out = struct.unpack_from(fmt, data, pos)
+        pos += size
+        return out
+
+    magic, version, digest, V, count = take("<4sH32sII")
+    if magic != MAGIC:
+        raise ValueError("corrupt knowledge file: bad magic at byte 0")
+    if version != VERSION:
+        raise ValueError(f"unsupported knowledge format version {version}")
+    if digest != vocab.digest() or V != vocab.size:
+        raise ValueError("knowledge/vocabulary mismatch")
+    store = KnowledgeStore(vocab_hash=digest, V=V)
+    for _ in range(count):
+        (record_len,) = take("<I")
+        record_end = pos + record_len
+        word, flag, msg_len = take("<IBH")
+        msg = take(f"<{msg_len}s")[0].decode("utf-8")
+        (clause_count,) = take("<I")
+        clauses = []
+        for _ in range(clause_count):
+            weight, lit_count = take("<iI")
+            lits = []
+            prev = 0
+            for i, delta in enumerate(take(f"<{lit_count}I") if lit_count else ()):
+                prev = delta if i == 0 else prev + delta
+                lits.append(prev)
+            clauses.append(Clause(literals=tuple(lits), weight=weight))
+        if pos != record_end:
+            raise ValueError(
+                f"corrupt knowledge file: record for word {word} ends at byte "
+                f"{pos}, expected {record_end} (last good word index: {last_good})")
+        for c in clauses:
+            if c.weight == 0:
+                raise ValueError(f"word {word}: clause with zero weight")
+            prev = -1
+            for lit in c.literals:
+                if not prev < lit < 2 * V:
+                    raise ValueError(
+                        f"word {word}: literal indices must be strictly "
+                        f"increasing and < {2 * V}")
+                prev = lit
+        if word >= V:
+            raise ValueError(f"corrupt knowledge file: word index {word} >= V")
+        store.entries[word] = WordKnowledge(word=word, clauses=tuple(clauses))
+        if flag:
+            store.failures[word] = msg
+        last_good = word
+    return store

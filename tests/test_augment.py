@@ -281,3 +281,26 @@ def test_augment_corpus_output_is_pinned():
     text = ("".join(" ".join(d.tokens) + "\n" for d in out)
             + "".join(f"{d.label}\n" for d in out))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUGMENT_SHA256
+
+
+class CountingRows(np.ndarray):
+    """Embedding rows that count the matrix products taken with them."""
+    products = 0
+
+    def __matmul__(self, other):
+        CountingRows.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+def test_augment_corpus_takes_one_similarity_product_per_word():
+    vocab, emb, docs = pinned_augment_inputs()
+    needed = set().union(*(d.word_set for d in docs)) & set(emb.words)
+    nonzero = {w for w in needed if emb.rows[emb.words.index(w)].any()}
+    CountingRows.products = 0
+    counted = EmbeddingMatrix(words=emb.words, rows=emb.rows.view(CountingRows))
+    out = aug.augment_corpus(docs, counted, vocab, aug.AugmentConfig(
+        replace_fraction=0.4, pool_size=3, seed=9))
+    assert CountingRows.products == len(nonzero) > 0
+    text = ("".join(" ".join(d.tokens) + "\n" for d in out)
+            + "".join(f"{d.label}\n" for d in out))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUGMENT_SHA256

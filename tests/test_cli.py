@@ -474,3 +474,61 @@ def test_classify_extra_labels_without_extra_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--extra" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--clauses", 0], "num_clauses"),
+    (["--T", 0], "T "),
+    (["--N", 0], "N "),
+    (["--epochs", 0], "epochs"),
+    (["--s", 1.0], "s must be > 1"),
+], ids=["clauses", "T", "N", "epochs", "s"])
+def test_classify_rejects_bad_bank_settings_before_reading_inputs(
+        tmp_path, capsys, flags, message):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, _ = paths["train"]
+    test_c, test_l = paths["test"]
+    short = tmp_path / "short.labels"  # reading the inputs would exit 1
+    short.write_text("1\n0\n")
+    out = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--train", train_c, "--train-labels", short,
+             "--test", test_c, "--test-labels", test_l, "--vocab", vpath,
+             "--out", out] + flags)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phase1_word_retrain_twice_in_one_process_is_byte_identical(workdir):
+    tmp, corpus, targets = workdir
+    store_path, vocab_file, _ = pipeline(tmp, corpus, targets)
+    batch = store_path.read_bytes()
+    retrain = ["phase1", corpus, "--vocab", vocab_file, "--word", "sun",
+               "--out", store_path] + FAST
+    for _ in range(2):
+        assert run(retrain + ["--seed", 0]) == 0
+        assert store_path.read_bytes() == batch
+    assert run(retrain + ["--seed", 99]) == 0
+    once = store_path.read_bytes()
+    assert once != batch
+    assert run(retrain + ["--seed", 99]) == 0
+    assert store_path.read_bytes() == once
+
+
+def test_phase1_word_rejects_every_cut_of_the_store(workdir, capsys):
+    tmp, corpus, targets = workdir
+    vocab_file = tmp / "v.txt"
+    store_path = tmp / "k.tmk"
+    assert run(["phase1", corpus, "--vocab-size", 3, "--vocab-out", vocab_file,
+                "--out", store_path] + FAST) == 0
+    data = store_path.read_bytes()
+    capsys.readouterr()
+    for n in range(len(data)):
+        store_path.write_bytes(data[:n])
+        assert run(["phase1", corpus, "--vocab", vocab_file, "--word",
+                    "car", "--out", store_path] + FAST) == 1
+        assert capsys.readouterr().err.startswith("error: corrupt knowledge file: ")
+        assert store_path.read_bytes() == data[:n]
+    assert sorted(p.name for p in tmp.iterdir()) == [
+        "corpus.txt", "k.tmk", "k.tmk.manifest.json", "targets.txt", "v.txt"]

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tmembed import cotm, knowledge
+from tmembed import cotm, knowledge, phase1
 from tmembed.corpus import Vocabulary
 from conftest import make_store
+from oracles import load_store_fieldwise
 
 
 def test_from_bank_extracts_nonzero_weight_clauses():
@@ -125,3 +128,219 @@ def test_save_rejects_invalid_knowledge(tmp_path):
     _, store = make_store({0: [((1,), 0)]}, V=3)  # zero weight
     with pytest.raises(ValueError, match="zero weight"):
         knowledge.save(store, tmp_path / "bad.tmk")
+
+
+def saved_three_word_store(tmp_path):
+    vocab = Vocabulary.from_words(["w0", "w1", "w2"])
+    path = tmp_path / "store.tmk"
+    knowledge.save(three_word_store(), path)
+    return vocab, path, path.read_bytes()
+
+
+def test_load_rejects_bytes_after_the_last_record(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    path.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(ValueError, match=(
+            rf"^corrupt knowledge file: 8 bytes after the last of 3 records, "
+            rf"at byte {len(data)} \(last good word index: 2\)")):
+        knowledge.load(path, vocab)
+
+
+def test_load_rejects_a_header_count_below_the_records(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    header = struct.calcsize("<4sH32sII")
+    first_end = header + 4 + struct.unpack_from("<I", data, header)[0]
+    path.write_bytes(data[:header - 4] + struct.pack("<I", 1) + data[header:])
+    with pytest.raises(ValueError, match=(
+            rf"^corrupt knowledge file: {len(data) - first_end} bytes after "
+            rf"the last of 1 records, at byte {first_end} "
+            rf"\(last good word index: 0\)")):
+        knowledge.load(path, vocab)
+
+
+def record_spans(data):
+    """[(start, end)] of each record of a saved store."""
+    pos, spans = struct.calcsize("<4sH32sII"), []
+    while pos < len(data):
+        end = pos + 4 + struct.unpack_from("<I", data, pos)[0]
+        spans.append((pos, end))
+        pos = end
+    return spans
+
+
+def test_load_rejects_records_out_of_order_or_repeated(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    (a, b), (_, c), (_, d) = record_spans(data)
+    head, r0, r1, r2 = data[:a], data[a:b], data[b:c], data[c:d]
+    path.write_bytes(head + r1 + r0 + r2)
+    with pytest.raises(ValueError, match=(
+            rf"record for word 0 at byte {a + len(r1)} is out of order "
+            rf"\(last good word index: 1\)")):
+        knowledge.load(path, vocab)
+    path.write_bytes(head + r0 + r0 + r2)
+    with pytest.raises(ValueError, match="record for word 0 at byte .* is out of order"):
+        knowledge.load(path, vocab)
+
+
+def test_load_rejects_flags_save_never_writes(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    (a, _), (b, _), _ = record_spans(data)
+    flag_at = b + 8  # record_len and word come first
+    path.write_bytes(data[:flag_at] + b"\x02" + data[flag_at + 1:])
+    with pytest.raises(ValueError, match="record for word 1 has flag 2"):
+        knowledge.load(path, vocab)
+    # a trained record (flag 0) that carries a message
+    store = three_word_store()
+    knowledge.save(store, path)
+    data = path.read_bytes()
+    _, _, (c, _) = record_spans(data)
+    path.write_bytes(data[:c + 8] + b"\x00" + data[c + 9:])
+    with pytest.raises(ValueError, match="record for word 2 has flag 0 and a 34-byte message"):
+        knowledge.load(path, vocab)
+
+
+def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
+    """Random byte flips, cuts and insertions: load gives the reader's store,
+    or its message; faults only the walker checks may come first."""
+    walker_only = ("bytes after the last", "is out of order", " has flag ")
+    rng = np.random.default_rng(5)
+    vocab, store = random_store(rng, V=5)
+    path = tmp_path / "store.tmk"
+    knowledge.save(store, path)
+    data = path.read_bytes()
+    for trial in range(600):
+        cut = int(rng.integers(len(data)))
+        kind = trial % 4
+        if kind == 0:
+            damaged = data[:cut] + bytes([int(rng.integers(256))]) + data[cut + 1:]
+        elif kind == 1:
+            damaged = data[:cut]
+        elif kind == 2:
+            damaged = data[:cut] + bytes(rng.integers(0, 256, 4, dtype=np.uint8)) + data[cut:]
+        else:  # zero a 4-byte cell past the header: weights, counts, deltas
+            cell = 46 + int(rng.integers((len(data) - 46) // 4)) * 4
+            damaged = data[:cell] + bytes(4) + data[cell + 4:]
+        path.write_bytes(damaged)
+        try:
+            want = load_store_fieldwise(path, vocab)
+        except ValueError as err:
+            want = str(err)
+        try:
+            got = knowledge.load(path, vocab)
+        except ValueError as err:
+            got = str(err)
+            if any(m in got for m in walker_only):
+                continue
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, (trial, cut)
+        else:
+            assert (got.entries, got.failures) == (want.entries, want.failures)
+
+
+def random_knowledge(rng, word, V, sign=None):
+    clauses = []
+    for _ in range(int(rng.integers(0, 5))):
+        lits = np.sort(rng.choice(2 * V, size=int(rng.integers(0, 2 * V + 1)),
+                                  replace=False))
+        # small weights and ones near the i32 limits
+        weight = int(rng.integers(1, 4) if rng.random() < 0.5 else rng.integers(1, 2**31))
+        weight *= sign or (-1 if rng.random() < 0.5 else 1)
+        clauses.append(knowledge.Clause(tuple(int(l) for l in lits), weight))
+    return knowledge.WordKnowledge(word=word, clauses=tuple(clauses))
+
+
+def random_store(rng, V, absent=()):
+    """A store over w0..w{V-1}: random clauses, some words failed, the words
+    in `absent` left out."""
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(V)])
+    store = knowledge.KnowledgeStore(vocab_hash=vocab.digest(), V=V)
+    for w in range(V):
+        if w in absent:
+            continue
+        result = (ValueError(f"no supporting documents for word {w} ✗")
+                  if rng.random() < 0.3 else random_knowledge(rng, w, V))
+        phase1.record_result(store, w, result)
+    return vocab, store
+
+
+REWRITES = {
+    # name: (word, words absent from the store, result kind)
+    "replace": (2, (), "trained"),
+    "replace_a_failed_word": (1, (), "trained"),
+    "insert_first": (0, (0, 3), "trained"),
+    "insert_middle": (3, (3,), "trained"),
+    "insert_last": (5, (5,), "trained"),
+    "insert_into_empty_store": (4, range(6), "trained"),
+    "failure_with_message": (2, (), "failed"),
+    "empty_clause_list": (3, (), "empty"),
+    "negative_weights": (4, (1,), "negative"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", REWRITES)
+def test_replace_word_writes_what_load_record_save_writes(tmp_path, case, seed):
+    word, absent, kind = REWRITES[case]
+    rng = np.random.default_rng([seed, list(REWRITES).index(case)])
+    vocab, store = random_store(rng, V=6, absent=absent)
+    if case == "replace_a_failed_word":
+        phase1.record_result(store, word, ValueError("earlier failure"))
+    result = {
+        "trained": lambda: random_knowledge(rng, word, 6),
+        "failed": lambda: ValueError(f"no supporting documents for word {word}"),
+        "empty": lambda: knowledge.WordKnowledge(word=word, clauses=()),
+        "negative": lambda: random_knowledge(rng, word, 6, sign=-1),
+    }[kind]()
+    spliced, whole = tmp_path / "spliced.tmk", tmp_path / "whole.tmk"
+    knowledge.save(store, spliced)
+    expected = knowledge.load(spliced, vocab)
+    phase1.record_result(expected, word, result)
+    knowledge.save(expected, whole)
+    knowledge.replace_word(spliced, vocab, word, lambda: result)
+    assert spliced.read_bytes() == whole.read_bytes()
+    loaded = knowledge.load(spliced, vocab)
+    assert (loaded.entries, loaded.failures) == (expected.entries, expected.failures)
+
+
+def test_replace_word_rejects_invalid_knowledge_and_keeps_the_file(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    bad = knowledge.WordKnowledge(1, (knowledge.Clause((3, 2), 1),))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        knowledge.replace_word(path, vocab, 1, lambda: bad)
+    other = knowledge.WordKnowledge(0, ())
+    with pytest.raises(ValueError, match="does not match"):
+        knowledge.replace_word(path, vocab, 1, lambda: other)
+    with pytest.raises(ValueError, match="out of range"):
+        knowledge.replace_word(path, vocab, 3, lambda: other)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+def test_every_cut_of_a_store_is_rejected_and_left_unchanged(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    cut_path = tmp_path / "cut.tmk"
+    trained = []
+    for n in range(len(data)):
+        cut_path.write_bytes(data[:n])
+        with pytest.raises(ValueError, match="^corrupt knowledge file: ") as err:
+            knowledge.load(cut_path, vocab)
+        with pytest.raises(ValueError) as oracle_err:
+            load_store_fieldwise(cut_path, vocab)
+        assert str(err.value) == str(oracle_err.value)
+        with pytest.raises(ValueError, match="^corrupt knowledge file: "):
+            knowledge.replace_word(cut_path, vocab, 1,
+                                   lambda: trained.append(n) or ValueError("x"))
+        assert cut_path.read_bytes() == data[:n]
+    assert trained == []
+
+
+def test_load_checks_the_largest_literal_against_2V(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    _, (start, end), _ = record_spans(data)  # word 1: one clause, literals (2, 4)
+    last_delta = end - 4
+    assert struct.unpack_from("<I", data, last_delta) == (2,)
+    path.write_bytes(data[:last_delta] + struct.pack("<I", 3) + data[end:])
+    assert knowledge.load(path, vocab).entries[1].clauses == (knowledge.Clause((2, 5), 1),)
+    path.write_bytes(data[:last_delta] + struct.pack("<I", 4) + data[end:])
+    with pytest.raises(ValueError, match=r"^word 1: literal indices must be strictly increasing and < 6$"):
+        knowledge.load(path, vocab)

@@ -212,3 +212,15 @@ def test_train_all_store_bytes_are_pinned(tmp_path, parallelism):
     path = tmp_path / "k.tmk"
     knowledge.save(store, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STORE_SHA256
+
+
+@pytest.mark.parametrize("q", [2, -1])
+@pytest.mark.parametrize("with_pools", [False, True])
+def test_pick_documents_rejects_a_target_bit_other_than_0_or_1(q, with_pools):
+    _, ds = cooccurrence_corpus()
+    pools = phase1.document_pools(ds, 0) if with_pools else None
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"target bit must be 0 or 1, got {q}"):
+        phase1.pick_documents(ds, 0, q, 3, rng, pools)
+    with pytest.raises(ValueError, match="target bit"):
+        phase1.build_x_from_documents(ds, 0, q, 3, rng, pools)

@@ -176,6 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The JSON types a config-file value may have, by its flag's type.
 _FILE_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+# Settings that must be positive integers, checked before any input is read.
+_POSITIVE = ("max_vocab", "vocab_size", "jobs")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -204,11 +206,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
                     f"{' or '.join(t.__name__ for t in want)}, got {value!r}")
             cfg[key] = float(value) if float in want else value
     cfg.update(given)
-    if "jobs" in cfg:
-        source = "--jobs" if "jobs" in given else f"{config_path}: jobs"
-        if cfg["jobs"] is None:
-            source, cfg["jobs"] = JOBS_ENV, os.environ.get(JOBS_ENV, "1")
-        cfg["jobs"] = _worker_count(cfg["jobs"], source)
+    for key in (k for k in _POSITIVE if k in cfg):
+        source = ("--" + key.replace("_", "-") if key in given
+                  else f"{config_path}: {key}")
+        if cfg[key] is None:  # jobs, unset: the environment decides
+            source, cfg[key] = JOBS_ENV, os.environ.get(JOBS_ENV, "1")
+        cfg[key] = _positive_int(cfg[key], source)
     if "extra" in cfg and bool(cfg["extra"]) != bool(cfg["extra_labels"]):
         raise UsageError("--extra and --extra-labels must be given together")
     return cfg
@@ -224,15 +227,15 @@ def build_config(command: str, cfg: dict):
         raise UsageError(str(err)) from None
 
 
-def _worker_count(value, source: str) -> int:
+def _positive_int(value, source: str) -> int:
     """A positive integer, else a usage error naming where the value came from."""
     try:
-        jobs = int(value)
+        number = int(value)
     except (TypeError, ValueError):
-        jobs = 0
-    if jobs < 1:
+        number = 0
+    if number < 1:
         raise UsageError(f"{source} must be a positive integer, got {value!r}")
-    return jobs
+    return number
 
 
 def _load_labeled(corpus_path, labels_path, vocab) -> list[aug.LabeledDocument]:

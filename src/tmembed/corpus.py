@@ -112,9 +112,19 @@ def read_corpus(path) -> list[list[str]]:
 
 
 def read_labels(path) -> list[int]:
-    """One integer label per line, aligned with the corpus file."""
+    """One 0/1 label per line, aligned with the corpus file; blank lines are
+    skipped. A bad label raises ValueError naming its path and line."""
+    labels = []
     with open(path, encoding="utf-8") as fh:
-        return [int(line.strip()) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    labels.append(int(line.strip()))
+                    if labels[-1] not in (0, 1):
+                        raise ValueError(f"label must be 0 or 1, got {labels[-1]}")
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+    return labels
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -72,7 +72,10 @@ def load_benchmark(path, name: str | None = None) -> WordPairBenchmark:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            score = float(parts[2])
+            try:
+                score = float(parts[2])
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
             if math.isnan(score):
                 raise ValueError(f"{path}:{lineno}: NaN score")
             pairs.append((parts[0], parts[1], score))

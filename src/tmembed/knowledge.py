@@ -21,14 +21,15 @@ Binary store layout (all integers little-endian, fixed width):
             literals       u32 x literal_count, delta encoded: first index
                            absolute, the rest offsets from the previous one
 
-Every reader goes through one record walker. It checks the header and each
-record in numpy, without turning literals into Python ints, and yields each
-record's word and byte span; records must ascend by word and end exactly at
-the end of the file. `load` then decodes each span. Retraining a single word
-(`phase1 --word`) uses `replace_word`: it walks the file, packs the new
-record, copies every other record's bytes unchanged, and writes the result
-with the same temp-file + rename as `save`. The splice writes exactly the
-bytes `save` would write for the loaded, updated store.
+Every record passes through one form, its clause arrays: per-clause weights,
+per-clause literal counts and every absolute literal in order. The record
+walker derives them from each record's bytes (the one delta decoder), and
+`save` and `replace_word` derive them from each entry before encoding it (the
+one delta encoder); both check them by one clause rule. The walker also
+checks the header and that records ascend by word and end exactly at the end
+of the file. `replace_word` (`phase1 --word`) packs the new record and copies
+every other record's bytes unchanged: exactly the bytes `save` writes for the
+loaded, updated store.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import os
 import struct
 import tempfile
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +51,7 @@ from .cotm import ClauseBank
 MAGIC = b"TMKS"
 VERSION = 1
 _HEADER = struct.Struct("<4sH32sII")
-_RECORD = struct.Struct("<IIBH")  # record_len, word, flag, msg_len
+_RECORD = struct.Struct("<IBH")  # word, flag, msg_len
 _U32 = struct.Struct("<I")
 
 
@@ -104,38 +105,65 @@ def filter_by_polarity(knowledge: WordKnowledge, q: int) -> list[Clause]:
     return [c for c in knowledge.clauses if c.weight < 0]
 
 
-def _validate_entry(word: int, k: WordKnowledge, V: int) -> None:
-    """What `save` checks of an entry; `_walk` checks the same of a record."""
-    for c in k.clauses:
-        if c.weight == 0:
-            raise ValueError(f"word {k.word}: clause with zero weight")
-        prev = -1
-        for lit in c.literals:
-            if not prev < lit < 2 * V:
-                raise ValueError(
-                    f"word {k.word}: literal indices must be strictly "
-                    f"increasing and < {2 * V}")
-            prev = lit
+def _cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where clauses with these literal counts sit among a record's u32
+    cells from clause_count (cell 0) on: each clause's first index into the
+    flat literal array, each clause's weight cell (its literal_count
+    follows), and every literal's cell."""
+    starts = counts.cumsum() - counts
+    heads = np.arange(1, 2 * counts.size, 2)  # cell 0 + 2 per earlier clause
+    ahead = (heads + 2).repeat(counts)
+    return starts, starts + heads, ahead + np.arange(ahead.size)
+
+
+def _clause_error(word: int, weights: np.ndarray, counts: np.ndarray,
+                  lits: np.ndarray, V: int) -> str | None:
+    """The clause rule, for a record read and an entry to write alike: the
+    message for the first clause of these clause arrays with a zero weight
+    or with literals not strictly increasing in [0, 2V), else None."""
+    starts = counts.cumsum() - counts
+    # unordered[i]: literal i is not above the literal before it in its clause
+    unordered = np.zeros(lits.size + 1, dtype=bool)
+    unordered[1:-1] = lits[1:] <= lits[:-1]
+    unordered[starts] = False
+    # as uint64 a negative literal is >= 2**63, so out of range too
+    bad = np.flatnonzero(unordered[:-1] | (lits.view(np.uint64) >= 2 * V))
+    # up to the first clause with a bad literal; weights are checked first
+    upto = np.searchsorted(starts, bad[0], side="right") if bad.size else None
+    if not weights[:upto].all():
+        return f"word {word}: clause with zero weight"
+    if bad.size:
+        return (f"word {word}: literal indices must be strictly increasing "
+                f"and < {2 * V}")
+    return None
+
+
+def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
+    """Check an entry against its key and the clause rule, then encode it as
+    a record. The arrays are checked before they are encoded, so a literal
+    too large for its u32 cell is rejected, not wrapped."""
+    weights = np.array([c.weight for c in k.clauses], dtype="<i4")
+    counts = np.array([len(c.literals) for c in k.clauses], dtype=np.int64)
+    lits = np.fromiter(chain.from_iterable(c.literals for c in k.clauses),
+                       dtype=np.int64, count=int(counts.sum()))
+    err = _clause_error(k.word, weights, counts, lits, V)
+    if err:
+        raise ValueError(err)
     if k.word != word:
         raise ValueError(f"entry key {word} does not match knowledge word {k.word}")
-
-
-def _pack_record(k: WordKnowledge, msg: str | None) -> bytes:
+    starts, weight_at, literal_at = _cells(counts)
+    deltas = np.diff(lits, prepend=0)
+    first = starts[counts > 0]
+    deltas[first] = lits[first]  # a clause's first literal is stored absolute
+    cells = np.empty(1 + 2 * counts.size + lits.size, dtype="<u4")
+    cells[0] = counts.size
+    cells[weight_at] = weights.view("<u4")
+    cells[weight_at + 1] = counts
+    cells[literal_at] = deltas
     msg_bytes = (msg or "").encode("utf-8")
-    parts = [struct.pack("<IBH", k.word, 1 if msg is not None else 0,
-                         len(msg_bytes)), msg_bytes,
-             struct.pack("<I", len(k.clauses))]
-    for c in k.clauses:
-        parts.append(struct.pack("<iI", c.weight, len(c.literals)))
-        prev = 0
-        deltas = []
-        for lit in c.literals:  # first index lands absolute since prev starts at 0
-            deltas.append(lit - prev)
-            prev = lit
-        if deltas:
-            parts.append(struct.pack(f"<{len(deltas)}I", *deltas))
-    payload = b"".join(parts)
-    return struct.pack("<I", len(payload)) + payload
+    payload = b"".join([_RECORD.pack(word, 1 if msg is not None else 0,
+                                     len(msg_bytes)), msg_bytes, cells.tobytes()])
+    return _U32.pack(len(payload)) + payload
 
 
 def as_entry(word: int, result: WordKnowledge | ValueError
@@ -162,60 +190,28 @@ def _write_atomic(path, parts) -> None:
 
 
 def save(store: KnowledgeStore, path) -> None:
-    """Atomic whole-file write (temp file + rename)."""
-    for word, k in store.entries.items():
-        _validate_entry(word, k, store.V)
-    parts = [_HEADER.pack(MAGIC, VERSION, store.vocab_hash, store.V,
-                          len(store.entries))]
-    for word in sorted(store.entries):
-        parts.append(_pack_record(store.entries[word], store.failures.get(word)))
-    _write_atomic(path, parts)
+    """Atomic whole-file write (temp file + rename); every entry is checked
+    before anything is written."""
+    records = {word: _pack_record(word, k, store.failures.get(word), store.V)
+               for word, k in store.entries.items()}
+    _write_atomic(path, [_HEADER.pack(MAGIC, VERSION, store.vocab_hash,
+                                      store.V, len(records))]
+                  + [records[word] for word in sorted(records)])
 
 
-class _Span(NamedTuple):
+class _Record(NamedTuple):
     word: int
     start: int  # offset of the record's record_len
     end: int    # offset just past the record
+    msg: str | None
+    weights: np.ndarray  # the record's clause arrays
+    counts: np.ndarray
+    lits: np.ndarray
 
 
-def _clause_error(data: bytes, body: int, end: int, heads: list[int],
-                  word: int, V: int) -> str | None:
-    """What `_validate_entry` would say about a record's clauses, else None.
-
-    data[body:end] are the record's u32 cells from clause_count on; heads
-    are the byte offsets of each clause's weight cell (its literal_count
-    follows).
-    """
-    cells = np.frombuffer(data, dtype="<u4", count=(end - body) // 4,
-                          offset=body)
-    h = (np.asarray(heads, dtype=np.intp) - body) // 4
-    zero = cells[h].view("<i4") == 0
-    n = cells[h + 1].astype(np.intp)
-    literal = np.ones(cells.size, dtype=bool)
-    literal[0] = False
-    literal[h] = literal[h + 1] = False
-    deltas = np.where(literal, cells, 0).astype(np.int64)
-    # After the first literal of a clause every delta must be positive, and
-    # then the last literal, the clause's delta sum, is its largest.
-    stall = literal & (deltas == 0)
-    stall[h[n > 0] + 2] = False
-    sums = np.cumsum(deltas)
-    bad = (n > 0) & (sums[h + 1 + n] - sums[h + 1] >= 2 * V)
-    bad[np.searchsorted(h, np.flatnonzero(stall), side="right") - 1] = True
-    bad |= zero
-    if not bad.any():
-        return None
-    if zero[np.argmax(bad)]:
-        return f"word {word}: clause with zero weight"
-    return (f"word {word}: literal indices must be strictly increasing "
-            f"and < {2 * V}")
-
-
-def _walk(data: bytes, vocab: Vocabulary) -> list[_Span]:
-    """Check a whole store against vocab; every record's word and byte span.
-
-    Raises ValueError naming the first fault, in file order.
-    """
+def _walk(data: bytes, vocab: Vocabulary) -> Iterator[_Record]:
+    """Check a whole store against vocab, yielding each record with its
+    clause arrays once checked; raises ValueError naming the first fault."""
     size = len(data)
     last_good = None  # word of the last record checked whole
 
@@ -232,41 +228,45 @@ def _walk(data: bytes, vocab: Vocabulary) -> list[_Span]:
         raise ValueError(f"unsupported knowledge format version {version}")
     if digest != vocab.digest() or V != vocab.size:
         raise ValueError("knowledge/vocabulary mismatch")
-    spans = []
     pos = _HEADER.size
     for _ in range(count):
         start = pos
-        # A cut is reported at the first field it cuts: record_len, then
-        # word, flag and msg_len together.
-        if pos + _RECORD.size > size:
-            raise truncated(pos if pos + 4 > size else pos + 4)
-        record_len, word, flag, msg_len = _RECORD.unpack_from(data, pos)
-        pos += _RECORD.size
-        if pos + msg_len > size:
-            raise truncated(pos)
-        data[pos:pos + msg_len].decode("utf-8")  # raises unless UTF-8
-        pos += msg_len
-        if pos + 4 > size:
-            raise truncated(pos)
-        body = pos
-        (clause_count,) = _U32.unpack_from(data, pos)
-        pos += 4
-        heads = []
-        for _ in range(clause_count):
-            if pos + 8 > size:
-                raise truncated(pos)
-            heads.append(pos)
-            (n,) = _U32.unpack_from(data, pos + 4)
-            pos += 8
-            if pos + 4 * n > size:
-                raise truncated(pos)
-            pos += 4 * n
+        try:  # a cut is reported at the first field it cuts
+            (record_len,) = _U32.unpack_from(data, pos)
+            pos += 4
+            word, flag, msg_len = _RECORD.unpack_from(data, pos)
+            pos += _RECORD.size
+            msg = struct.unpack_from(f"{msg_len}s", data, pos)[0].decode("utf-8")
+            pos += msg_len
+            body = pos
+            (clause_count,) = _U32.unpack_from(data, pos)
+            pos += 4
+            counts = []
+            for _ in range(clause_count):
+                (n,) = _U32.unpack_from(data, pos + 4)
+                counts.append(n)
+                pos += 8
+                if pos + 4 * n > size:
+                    raise truncated(pos)
+                pos += 4 * n
+        except struct.error:
+            raise truncated(pos) from None
         if pos != start + 4 + record_len:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} ends at byte "
                 f"{pos}, expected {start + 4 + record_len} "
                 f"(last good word index: {last_good})")
-        err = heads and _clause_error(data, body, pos, heads, word, V)
+        # The clause arrays: the store's one delta decoder.
+        counts = np.array(counts, dtype=np.int64)
+        starts, weight_at, literal_at = _cells(counts)
+        cells = np.frombuffer(data, dtype="<u4", count=(pos - body) // 4,
+                              offset=body)
+        weights = cells[weight_at].view("<i4")
+        sums = np.zeros(literal_at.size + 1, dtype=np.int64)
+        # cells may be unaligned; gathering from an aligned copy is faster
+        cells.astype(np.int64)[literal_at].cumsum(out=sums[1:])
+        lits = sums[1:] - sums[starts].repeat(counts)
+        err = _clause_error(word, weights, counts, lits, V)
         if err:
             raise ValueError(err)
         if word >= V:
@@ -280,42 +280,27 @@ def _walk(data: bytes, vocab: Vocabulary) -> list[_Span]:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} at byte "
                 f"{start} is out of order (last good word index: {last_good})")
-        spans.append(_Span(word, start, pos))
+        yield _Record(word, start, pos, msg if flag else None,
+                      weights, counts, lits)
         last_good = word
     if pos != size:
         raise ValueError(
             f"corrupt knowledge file: {size - pos} bytes after the last of "
             f"{count} records, at byte {pos} (last good word index: {last_good})")
-    return spans
-
-
-def _decode(data: bytes, span: _Span) -> tuple[WordKnowledge, str | None]:
-    _, word, flag, msg_len = _RECORD.unpack_from(data, span.start)
-    body = span.start + _RECORD.size + msg_len
-    msg = data[body - msg_len:body].decode("utf-8") if flag else None
-    cells = np.frombuffer(data, dtype="<u4", count=(span.end - body) // 4,
-                          offset=body).tolist()
-    clauses = []
-    i = 1  # cells[0] is clause_count
-    while i < len(cells):
-        weight, n = cells[i], cells[i + 1]
-        i += 2
-        clauses.append(Clause(literals=tuple(accumulate(cells[i:i + n])),
-                              weight=weight - (weight >> 31 << 32)))  # as i32
-        i += n
-    return WordKnowledge(word=word, clauses=tuple(clauses)), msg
 
 
 def load(path, vocab: Vocabulary) -> KnowledgeStore:
     """Load and verify a store; the vocabulary digest must match."""
     with open(path, "rb") as fh:
         data = fh.read()
-    spans = _walk(data, vocab)
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
-    for span in spans:
-        store.entries[span.word], msg = _decode(data, span)
-        if msg is not None:
-            store.failures[span.word] = msg
+    for r in _walk(data, vocab):
+        lits = iter(r.lits.tolist())
+        store.entries[r.word] = WordKnowledge(word=r.word, clauses=tuple(
+            Clause(literals=tuple(islice(lits, n)), weight=w)
+            for w, n in zip(r.weights.tolist(), r.counts.tolist())))
+        if r.msg is not None:
+            store.failures[r.word] = r.msg
     return store
 
 
@@ -330,19 +315,18 @@ def replace_word(path, vocab: Vocabulary, word: int,
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    spans = _walk(data, vocab)
+    spans = [(r.word, r.start, r.end) for r in _walk(data, vocab)]
     if not 0 <= word < vocab.size:
         raise ValueError(f"word index {word} out of range")
-    k, msg = as_entry(word, train())
-    _validate_entry(word, k, vocab.size)
-    i = bisect_left([s.word for s in spans], word)
-    replaced = i < len(spans) and spans[i].word == word
-    start = spans[i].start if i < len(spans) else len(data)
-    stop = spans[i].end if replaced else start
+    record = _pack_record(word, *as_entry(word, train()), vocab.size)
+    i = bisect_left(spans, (word,))
+    replaced = i < len(spans) and spans[i][0] == word
+    start = spans[i][1] if i < len(spans) else len(data)
+    stop = spans[i][2] if replaced else start
     count = len(spans) + (0 if replaced else 1)
     _write_atomic(path, [
         _HEADER.pack(MAGIC, VERSION, vocab.digest(), vocab.size, count),
-        data[_HEADER.size:start], _pack_record(k, msg), data[stop:]])
+        data[_HEADER.size:start], record, data[stop:]])
 
 
 def export_text(store: KnowledgeStore, vocab: Vocabulary, path) -> None:

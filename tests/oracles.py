@@ -4,6 +4,7 @@ Everything here is deliberately naive pure Python (loops and sets, no numpy
 vector tricks) so it cannot share a bug with the code under test.
 """
 
+import struct
 from collections import Counter
 
 
@@ -195,3 +196,54 @@ def load_store_fieldwise(path, vocab):
             store.failures[word] = msg
         last_good = word
     return store
+
+
+# The knowledge store writer as it was before the clause codec: it checks
+# and packs every literal in a Python loop. _validate_entry, _pack_record and
+# the body of save_store_loopwise are that writer verbatim.
+
+def _validate_entry(word, k, V):
+    """What `save` checks of an entry; `_walk` checks the same of a record."""
+    for c in k.clauses:
+        if c.weight == 0:
+            raise ValueError(f"word {k.word}: clause with zero weight")
+        prev = -1
+        for lit in c.literals:
+            if not prev < lit < 2 * V:
+                raise ValueError(
+                    f"word {k.word}: literal indices must be strictly "
+                    f"increasing and < {2 * V}")
+            prev = lit
+    if k.word != word:
+        raise ValueError(f"entry key {word} does not match knowledge word {k.word}")
+
+
+def _pack_record(k, msg):
+    msg_bytes = (msg or "").encode("utf-8")
+    parts = [struct.pack("<IBH", k.word, 1 if msg is not None else 0,
+                         len(msg_bytes)), msg_bytes,
+             struct.pack("<I", len(k.clauses))]
+    for c in k.clauses:
+        parts.append(struct.pack("<iI", c.weight, len(c.literals)))
+        prev = 0
+        deltas = []
+        for lit in c.literals:  # first index lands absolute since prev starts at 0
+            deltas.append(lit - prev)
+            prev = lit
+        if deltas:
+            parts.append(struct.pack(f"<{len(deltas)}I", *deltas))
+    payload = b"".join(parts)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def save_store_loopwise(store, path):
+    """Atomic whole-file write (temp file + rename)."""
+    from tmembed.knowledge import _HEADER, MAGIC, VERSION, _write_atomic
+
+    for word, k in store.entries.items():
+        _validate_entry(word, k, store.V)
+    parts = [_HEADER.pack(MAGIC, VERSION, store.vocab_hash, store.V,
+                          len(store.entries))]
+    for word in sorted(store.entries):
+        parts.append(_pack_record(store.entries[word], store.failures.get(word)))
+    _write_atomic(path, parts)

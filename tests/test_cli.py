@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tmembed import cli, knowledge
+from tmembed import cli, corpus, knowledge
 from tmembed.corpus import load_vocabulary
 from conftest import sentiment_fixture
 
@@ -255,6 +255,62 @@ def test_classify_label_count_mismatch(tmp_path, capsys):
                 "--vocab", vpath, "--out", tmp_path / "r.txt"])
     assert code == 1
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1\n\npos\n", 3, "invalid literal for int() with base 10: 'pos'"),
+    ("0\n2\n", 2, "label must be 0 or 1, got 2"),
+], ids=["not_an_int", "not_0_or_1"])
+def test_classify_names_the_line_of_a_bad_label(tmp_path, capsys, text, line,
+                                                message):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, _ = paths["train"]
+    test_c, test_l = paths["test"]
+    bad = tmp_path / "bad.labels"
+    bad.write_text(text)
+    code = run(["classify", "--train", train_c, "--train-labels", bad,
+                "--test", test_c, "--test-labels", test_l,
+                "--vocab", vpath, "--out", tmp_path / "r.txt"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
+
+
+def test_eval_names_the_line_of_a_bad_score(tmp_path, capsys):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("sun 1 0\nmoon 1 1\ncar 0 1\n")
+    good = tmp_path / "good.tsv"
+    good.write_text("sun\tmoon\t9\nsun\tcar\t1\nmoon\tcar\t5\n")
+    bad = tmp_path / "p.tsv"
+    bad.write_text("sun\tmoon\t9\ngood\tbad\tx\n")
+    assert run(["eval", emb, bad, good, "--out", tmp_path / "r.txt"]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: skipping benchmark {bad}: {bad}:2: "
+        f"could not convert string to float: 'x'\n")
+
+
+@pytest.mark.parametrize("command, key", [("vocab", "max_vocab"),
+                                          ("phase1", "vocab_size")])
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+def test_vocabulary_size_below_one_is_usage_error_before_reading_input(
+        workdir, capsys, monkeypatch, command, key, value, given_by):
+    tmp, corpus_path, _ = workdir
+    monkeypatch.setattr(corpus, "read_corpus",
+                        lambda path: pytest.fail("the corpus was read"))
+    argv = [command, corpus_path, "--out", tmp / "out"]
+    if given_by == "flag":
+        source = "--" + key.replace("_", "-")
+        argv += [source, value]
+    else:
+        cfgfile = tmp / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        source = f"{cfgfile}: {key}"
+        argv += ["--config", cfgfile]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"{source} must be a positive integer, got {value}" in (
+        capsys.readouterr().err)
 
 
 def test_missing_corpus_is_usage_error(tmp_path):

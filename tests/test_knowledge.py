@@ -6,7 +6,7 @@ import pytest
 from tmembed import cotm, knowledge, phase1
 from tmembed.corpus import Vocabulary
 from conftest import make_store
-from oracles import load_store_fieldwise
+from oracles import load_store_fieldwise, save_store_loopwise, _validate_entry
 
 
 def test_from_bank_extracts_nonzero_weight_clauses():
@@ -344,3 +344,96 @@ def test_load_checks_the_largest_literal_against_2V(tmp_path):
     path.write_bytes(data[:last_delta] + struct.pack("<I", 4) + data[end:])
     with pytest.raises(ValueError, match=r"^word 1: literal indices must be strictly increasing and < 6$"):
         knowledge.load(path, vocab)
+
+
+def edge_store():
+    """Weights at the i32 limits, an empty clause, an entry with no clauses
+    and a failure with a non-ASCII message, entered out of word order."""
+    vocab = Vocabulary.from_words(["w0", "w1", "w2", "w3"])
+    store = knowledge.KnowledgeStore(vocab_hash=vocab.digest(), V=4)
+    for w, clauses in ((2, [((0, 7), 2**31 - 1), ((), -(2**31 - 1)),
+                            ((1, 2, 3, 4, 5, 6), -1)]),
+                       (0, []), (3, [((7,), 1)]), (1, [])):
+        store.entries[w] = knowledge.WordKnowledge(
+            w, tuple(knowledge.Clause(lits, weight) for lits, weight in clauses))
+    store.failures[1] = "keine Dokumente für „w1“ ✗"
+    return store
+
+
+@pytest.mark.parametrize("case", ["empty_store", "edges"]
+                         + [f"random{seed}" for seed in range(8)])
+def test_save_writes_the_reference_writers_bytes(tmp_path, case):
+    if case == "empty_store":
+        vocab = Vocabulary.from_words(["w0", "w1"])
+        store = knowledge.KnowledgeStore(vocab_hash=vocab.digest(), V=2)
+    elif case == "edges":
+        store = edge_store()
+    else:
+        rng = np.random.default_rng([int(case[6:]), 9])
+        V = int(rng.integers(1, 10))
+        _, store = random_store(rng, V, absent=set(rng.integers(0, V, 2).tolist()))
+        order = rng.permutation(list(store.entries))
+        store.entries = {int(w): store.entries[w] for w in order}
+    knowledge.save(store, tmp_path / "new.tmk")
+    save_store_loopwise(store, tmp_path / "reference.tmk")
+    assert (tmp_path / "new.tmk").read_bytes() == (
+        tmp_path / "reference.tmk").read_bytes()
+
+
+def clauses(*pairs):
+    return tuple(knowledge.Clause(lits, weight) for lits, weight in pairs)
+
+
+INVALID_ENTRIES = {  # name: (entry key, knowledge) in a store with V=3
+    "zero_weight": (1, knowledge.WordKnowledge(1, clauses(((0, 2), 0)))),
+    "decreasing": (1, knowledge.WordKnowledge(1, clauses(((3, 2), 1)))),
+    "repeated": (1, knowledge.WordKnowledge(1, clauses(((2, 2), 1)))),
+    "negative": (1, knowledge.WordKnowledge(1, clauses(((-1, 2), 1)))),
+    "literal_2V": (1, knowledge.WordKnowledge(1, clauses(((1, 6), 1)))),
+    "literal_2_32": (1, knowledge.WordKnowledge(1, clauses(((1, 2**32 + 5), 1)))),
+    "after_a_valid_clause": (1, knowledge.WordKnowledge(1, clauses(
+        ((0, 1), 2), ((), -1), ((4, 4), -1)))),
+    "zero_weight_after_bad_literals": (1, knowledge.WordKnowledge(1, clauses(
+        ((3, 2), 1), ((0,), 0)))),
+    "bad_literals_after_zero_weight": (1, knowledge.WordKnowledge(1, clauses(
+        ((0,), 0), ((3, 2), 1)))),
+    "zero_weight_and_bad_literals": (1, knowledge.WordKnowledge(1, clauses(
+        ((3, 2), 0),))),
+    "key_differs_from_word": (1, knowledge.WordKnowledge(0, clauses(((0,), 1)))),
+    "key_differs_and_bad_literals": (1, knowledge.WordKnowledge(0, clauses(
+        ((5, 0), 1)))),
+}
+
+
+@pytest.mark.parametrize("case", INVALID_ENTRIES)
+def test_invalid_entries_give_the_reference_message_and_write_nothing(
+        tmp_path, case):
+    key, k = INVALID_ENTRIES[case]
+    vocab, path, data = saved_three_word_store(tmp_path)
+    store = three_word_store()
+    store.entries[key] = k
+    with pytest.raises(ValueError) as want:
+        save_store_loopwise(store, tmp_path / "reference.tmk")
+    with pytest.raises(ValueError) as got:
+        knowledge.save(store, path)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as want:
+        _validate_entry(key, k, vocab.size)
+    with pytest.raises(ValueError) as got:
+        knowledge.replace_word(path, vocab, key, lambda: k)
+    assert str(got.value) == str(want.value)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+def test_save_reports_the_first_invalid_entry_in_entry_order(tmp_path):
+    store = three_word_store()
+    store.entries = {2: knowledge.WordKnowledge(2, clauses(((1,), 0))),
+                     0: knowledge.WordKnowledge(0, clauses(((2, 1), 1))),
+                     1: store.entries[1]}
+    with pytest.raises(ValueError) as want:
+        save_store_loopwise(store, tmp_path / "reference.tmk")
+    with pytest.raises(ValueError, match="^word 2: clause with zero weight$") as got:
+        knowledge.save(store, tmp_path / "new.tmk")
+    assert str(got.value) == str(want.value)
+    assert list(tmp_path.iterdir()) == []

@@ -79,7 +79,7 @@ def negation_closed_vector(features, V: int) -> np.ndarray:
 def literal_vector(literals, V: int) -> np.ndarray:
     """Length-2V vector with exactly the given literal indices set; no closure."""
     x = np.zeros(2 * V, dtype=np.uint8)
-    idx = np.asarray(list(literals), dtype=np.int64)
+    idx = np.fromiter(literals, dtype=np.int64)
     if idx.size:
         if idx.min() < 0 or idx.max() >= 2 * V:
             raise ValueError("literal index out of range")

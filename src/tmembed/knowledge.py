@@ -84,16 +84,10 @@ class KnowledgeStore:
 
 def from_bank(bank: ClauseBank, word: int, output: int = 0) -> WordKnowledge:
     """Extract every nonzero-weight clause of the given output as knowledge."""
-    clauses = []
     included = bank.included()
-    weights = bank.weights[:, output]
-    for c in range(bank.num_clauses):
-        w = int(weights[c])
-        if w == 0:
-            continue
-        lits = tuple(int(l) for l in included[c].nonzero()[0])
-        clauses.append(Clause(literals=lits, weight=w))
-    return WordKnowledge(word=word, clauses=tuple(clauses))
+    return WordKnowledge(word=word, clauses=tuple(
+        Clause(literals=tuple(included[c].nonzero()[0].tolist()), weight=w)
+        for c, w in enumerate(bank.weights[:, output].tolist()) if w))
 
 
 def filter_by_polarity(knowledge: WordKnowledge, q: int) -> list[Clause]:
@@ -141,8 +135,12 @@ def _clause_error(word: int, weights: np.ndarray, counts: np.ndarray,
 def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
     """Check an entry against its key and the clause rule, then encode it as
     a record. The arrays are checked before they are encoded, so a literal
-    too large for its u32 cell is rejected, not wrapped."""
-    weights = np.array([c.weight for c in k.clauses], dtype="<i4")
+    too large for its u32 cell is rejected, not wrapped, and so is a weight
+    too large for its i32 cell."""
+    weights = [c.weight for c in k.clauses]
+    if weights and not -2**31 <= min(weights) <= max(weights) < 2**31:
+        raise ValueError(f"word {k.word}: clause weight outside the i32 range")
+    weights = np.array(weights, dtype="<i4")
     counts = np.array([len(c.literals) for c in k.clauses], dtype=np.int64)
     lits = np.fromiter(chain.from_iterable(c.literals for c in k.clauses),
                        dtype=np.int64, count=int(counts.sum()))

@@ -6,6 +6,10 @@ literals, then expand each original-feature literal through its own word's
 clauses of the same polarity. The collected literal set is activated directly;
 no negation closure is applied, because the clauses already carry negated
 literals.
+
+Training reads the store through one `PolarityIndex`, which filters each
+word by polarity once, not once per example. It changes no random draw, so
+the embeddings are byte for byte those of filtering on every example.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .cotm import ClauseBank, init_bank, literal_vector, update
-from .knowledge import KnowledgeStore, filter_by_polarity
+from .knowledge import Clause, KnowledgeStore, filter_by_polarity
 from .phase1 import Phase1Config
 
 
@@ -39,40 +43,74 @@ class Phase2Stats:
     skipped_words: Counter = field(default_factory=Counter)
 
 
+class PolarityIndex:
+    """The q-polarity clauses of one store's words, filled as calls touch them.
+
+    Each word and q is filtered once. The first time a clause is drawn, its
+    expandable literals (original features, < V, whose own q-list is
+    non-empty) are resolved to their q-lists. Build a new index after
+    changing the store.
+    """
+
+    def __init__(self, store: KnowledgeStore):
+        self._store = store
+        self._clauses: dict[tuple[int, int], list[Clause]] = {}
+        self._expand: dict[tuple[int, int], list] = {}
+
+    def clauses(self, word: int, q: int) -> list[Clause]:
+        """The word's q-polarity clauses in store order; [] without an entry."""
+        key = (word, q)
+        found = self._clauses.get(key)
+        if found is None:
+            entry = self._store.entries.get(word)
+            found = [] if entry is None else filter_by_polarity(entry, q)
+            self._clauses[key] = found
+            self._expand[key] = [None] * len(found)
+        return found
+
+    def expansions(self, word: int, q: int, j: int
+                   ) -> tuple[list[Clause], ...]:
+        """The q-lists of clause j's expandable literals, in clause order
+        (a literal repeated across clauses is expanded in each)."""
+        per_clause = self._expand[(word, q)]
+        found = per_clause[j]
+        if found is None:
+            V = self._store.V
+            found = per_clause[j] = tuple(filter(None, (
+                self.clauses(lit, q)
+                for lit in self._clauses[(word, q)][j].literals if lit < V)))
+        return found
+
+
 def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator,
+                   index: PolarityIndex | None = None) -> np.ndarray:
     """Two-level clause expansion into a literal vector (no negation closure).
 
     Level 1 samples min(a, available) clauses of the word's q polarity and
     collects their literals. Level 2 expands each collected literal that is an
     original feature with a knowledge entry: sample min(a, available) of that
     word's q-polarity clauses and collect their literals too. Negated literals
-    (index >= V) are activated but never expanded.
+    (index >= V) are activated but never expanded. Lookups go through index,
+    which must have been built over this store; without one, a fresh index
+    serves this call only.
     """
-    entry = store.entries.get(word)
-    if entry is None:
+    if word not in store.entries:
         raise ValueError(f"word {word} has no knowledge entry")
-    filtered = filter_by_polarity(entry, q)
-    if not filtered:
+    if index is None:
+        index = PolarityIndex(store)
+    clauses = index.clauses(word, q)
+    if not clauses:
         raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
-    V = store.V
     active: set[int] = set()
-    n = min(a, len(filtered))
-    for j in rng.choice(len(filtered), size=n, replace=False):
-        for lit in filtered[j].literals:
-            active.add(lit)
-            if lit >= V:
-                continue
-            sub_entry = store.entries.get(lit)
-            if sub_entry is None:
-                continue
-            sub = filter_by_polarity(sub_entry, q)
-            if not sub:
-                continue
+    n = min(a, len(clauses))
+    for j in rng.choice(len(clauses), size=n, replace=False).tolist():
+        active.update(clauses[j].literals)
+        for sub in index.expansions(word, q, j):
             m = min(a, len(sub))
-            for sj in rng.choice(len(sub), size=m, replace=False):
+            for sj in rng.choice(len(sub), size=m, replace=False).tolist():
                 active.update(sub[sj].literals)
-    return literal_vector(active, V)
+    return literal_vector(active, store.V)
 
 
 def extract_embedding(bank: ClauseBank, o: int) -> np.ndarray:
@@ -99,6 +137,7 @@ def train_embedding(store: KnowledgeStore, targets, cfg: Phase1Config,
         if w not in store.entries:
             raise ValueError(f"target word {w} missing from knowledge store")
     k = len(targets)
+    index = PolarityIndex(store)
     rng = np.random.default_rng(cfg.seed)
     bank = init_bank(cfg.num_clauses, k, store.V, cfg.N, cfg.T, cfg.s)
     if stats is not None and stats.position_counts is None:
@@ -115,7 +154,7 @@ def train_embedding(store: KnowledgeStore, targets, cfg: Phase1Config,
                     stats.position_counts[oi, pos] += 1
                 attempts += 1
                 try:
-                    x = build_x_phase2(store, targets[oi], q, cfg.a, rng)
+                    x = build_x_phase2(store, targets[oi], q, cfg.a, rng, index)
                 except ValueError:
                     skips += 1
                     skipped[targets[oi]] += 1

@@ -7,6 +7,11 @@ vector tricks) so it cannot share a bug with the code under test.
 import struct
 from collections import Counter
 
+import numpy as np
+
+from tmembed.cotm import literal_vector
+from tmembed.knowledge import KnowledgeStore, filter_by_polarity
+
 
 def df_ranking(raw_docs):
     """Document-frequency ranking, ties lexicographic."""
@@ -247,3 +252,43 @@ def save_store_loopwise(store, path):
     for word in sorted(store.entries):
         parts.append(_pack_record(store.entries[word], store.failures.get(word)))
     _write_atomic(path, parts)
+
+
+# Phase-2 input expansion as it was before the polarity index: it filters
+# the knowledge store again for every word it expands. build_x_phase2 below
+# is that function verbatim.
+
+def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Two-level clause expansion into a literal vector (no negation closure).
+
+    Level 1 samples min(a, available) clauses of the word's q polarity and
+    collects their literals. Level 2 expands each collected literal that is an
+    original feature with a knowledge entry: sample min(a, available) of that
+    word's q-polarity clauses and collect their literals too. Negated literals
+    (index >= V) are activated but never expanded.
+    """
+    entry = store.entries.get(word)
+    if entry is None:
+        raise ValueError(f"word {word} has no knowledge entry")
+    filtered = filter_by_polarity(entry, q)
+    if not filtered:
+        raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
+    V = store.V
+    active: set[int] = set()
+    n = min(a, len(filtered))
+    for j in rng.choice(len(filtered), size=n, replace=False):
+        for lit in filtered[j].literals:
+            active.add(lit)
+            if lit >= V:
+                continue
+            sub_entry = store.entries.get(lit)
+            if sub_entry is None:
+                continue
+            sub = filter_by_polarity(sub_entry, q)
+            if not sub:
+                continue
+            m = min(a, len(sub))
+            for sj in rng.choice(len(sub), size=m, replace=False):
+                active.update(sub[sj].literals)
+    return literal_vector(active, V)

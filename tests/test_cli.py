@@ -345,7 +345,7 @@ def test_config_file_applies_and_flags_override(workdir):
 def test_jobs_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV, "3")
     parser = cli.build_parser()
-    args = parser.parse_args(["phase1", "tests/conftest.py", "--out", "x"])
+    args = parser.parse_args(["phase1", __file__, "--out", "x"])
     cfg = cli.resolve_config(args)
     assert cfg["jobs"] == 3
 

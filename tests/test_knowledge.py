@@ -130,6 +130,29 @@ def test_save_rejects_invalid_knowledge(tmp_path):
         knowledge.save(store, tmp_path / "bad.tmk")
 
 
+@pytest.mark.parametrize("weight", [2**31, -2**31 - 1, 2**70])
+def test_a_weight_outside_i32_is_rejected_and_writes_nothing(tmp_path, weight):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    store = three_word_store()
+    k = knowledge.WordKnowledge(1, (knowledge.Clause((0,), 1),
+                                    knowledge.Clause((1,), weight)))
+    store.entries[1] = k
+    message = "^word 1: clause weight outside the i32 range$"
+    with pytest.raises(ValueError, match=message):
+        knowledge.save(store, path)
+    with pytest.raises(ValueError, match=message):
+        knowledge.replace_word(path, vocab, 1, lambda: k)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+def test_the_i32_extremes_round_trip(tmp_path):
+    vocab = Vocabulary.from_words(["w0", "w1"])
+    _, store = make_store({1: [((0,), 2**31 - 1), ((1, 2), -2**31)]}, V=2)
+    knowledge.save(store, tmp_path / "k.tmk")
+    assert knowledge.load(tmp_path / "k.tmk", vocab).entries == store.entries
+
+
 def saved_three_word_store(tmp_path):
     vocab = Vocabulary.from_words(["w0", "w1", "w2"])
     path = tmp_path / "store.tmk"

@@ -1,9 +1,15 @@
+import hashlib
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from tmembed import cotm, phase2
-from tmembed.corpus import Vocabulary
+import oracles
+from tmembed import cotm, phase1, phase2
+from tmembed.corpus import Vocabulary, vectorize
+from tmembed.knowledge import filter_by_polarity
 from tmembed.phase1 import Phase1Config
 from conftest import make_store
 from oracles import naive_embedding, two_level_union
@@ -70,6 +76,11 @@ def test_build_errors():
         phase2.build_x_phase2(store, 3, 1, 2, rng)
     with pytest.raises(ValueError, match="no q-polarity knowledge"):
         phase2.build_x_phase2(store, 0, 0, 2, rng)
+    # a missing entry is reported before a bad target bit
+    with pytest.raises(ValueError, match="no knowledge entry"):
+        phase2.build_x_phase2(store, 3, 2, 2, rng)
+    with pytest.raises(ValueError, match="target bit must be 0 or 1, got 2"):
+        phase2.build_x_phase2(store, 0, 2, 2, rng)
 
 
 def test_window_truncates_sampled_clauses():
@@ -119,6 +130,149 @@ def test_expansion_equals_exhaustive_union_when_window_covers_all():
     assert checked > 20
 
 
+def random_expansion_store(rng):
+    """A toy store for comparing expansions: words carry up to six clauses,
+    so small windows sample; literals repeat across a word's clauses, some
+    are negated, some words have no entry, some an empty entry and some
+    only one polarity."""
+    V = int(rng.integers(3, 9))
+    entries = {}
+    for w in range(V):
+        if rng.random() < 0.2:
+            continue
+        sign = int(rng.choice([-1, 1])) if rng.random() < 0.3 else 0
+        clauses = []
+        for _ in range(int(rng.integers(0, 7))):
+            size = int(rng.integers(1, 5))
+            lits = sorted(rng.choice(2 * V, size=size, replace=False).tolist())
+            weight = int(rng.integers(1, 4)) * (sign or int(rng.choice([-1, 1])))
+            clauses.append((tuple(lits), weight))
+        entries[w] = clauses
+    return make_store(entries, V)[1]
+
+
+@pytest.mark.parametrize("shared_index", [False, True])
+def test_expansion_matches_the_filtering_oracle(shared_index):
+    # same vector, same error and the same random stream as the expansion
+    # that filtered the store on every call (tests/oracles.py), whether
+    # each call builds its own index or all calls share one
+    rng = np.random.default_rng(12)
+    seen = Counter()
+    for _ in range(80):
+        store = random_expansion_store(rng)
+        index = phase2.PolarityIndex(store) if shared_index else None
+        seed = int(rng.integers(2**32))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            word = int(rng.integers(store.V + 1))
+            q, a = int(rng.integers(2)), int(rng.integers(1, 5))
+            try:
+                expected = oracles.build_x_phase2(store, word, q, a, theirs)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    phase2.build_x_phase2(store, word, q, a, mine, index)
+                seen["no entry" if word not in store.entries
+                     else "no polarity"] += 1
+            else:
+                x = phase2.build_x_phase2(store, word, q, a, mine, index)
+                assert x.dtype == expected.dtype
+                assert np.array_equal(x, expected)
+                n = len(filter_by_polarity(store.entries[word], q))
+                seen["a < n" if a < n else "a >= n"] += 1
+            assert mine.bit_generator.state == theirs.bit_generator.state
+    assert min(seen[k] for k in ("no entry", "no polarity", "a < n",
+                                 "a >= n")) > 50
+
+
+def test_a_direct_call_filters_only_the_words_it_expands(monkeypatch):
+    # without an index, a call filters exactly the words the filtering
+    # oracle filters, not the whole store
+    def recorder(calls):
+        def record(entry, q):
+            calls.append(entry.word)
+            return filter_by_polarity(entry, q)
+        return record
+
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        store = random_expansion_store(rng)
+        for word in store.entries:
+            for q in (0, 1):
+                mine, theirs = [], []
+                monkeypatch.setattr(phase2, "filter_by_polarity", recorder(mine))
+                monkeypatch.setattr(oracles, "filter_by_polarity",
+                                    recorder(theirs))
+                seed = int(rng.integers(2**32))
+                for calls, build in ((mine, phase2.build_x_phase2),
+                                     (theirs, oracles.build_x_phase2)):
+                    try:
+                        build(store, word, q, 2, np.random.default_rng(seed))
+                    except ValueError:
+                        pass
+                assert sorted(set(mine)) == sorted(mine) == sorted(set(theirs))
+
+
+def test_a_literal_in_two_sampled_clauses_is_expanded_twice():
+    # both of word 0's clauses carry literal 1, so a=2 expands word 1 twice:
+    # two level-2 draws, each of which advances the random stream
+    _, store = make_store({
+        0: [((1, 9), 1), ((1, 2), 2)],
+        1: [((3,), 1), ((4,), 1), ((5,), 1), ((6, 7), 1)],
+        2: [((2,), -1)],  # no positive clause, so never expanded at q=1
+    }, V=8)
+    for seed in range(20):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = phase2.build_x_phase2(store, 0, 1, 2, mine)
+        assert np.array_equal(x, oracles.build_x_phase2(store, 0, 1, 2, theirs))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def pinned_phase1_store():
+    """A Phase-1 store over two five-word topics: most words have more
+    clauses of a polarity than PINNED_PHASE2_CFG.a, some have fewer."""
+    rng = np.random.default_rng(21)
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(10)])
+    raw = [[f"w{w}" for w in
+            (rng.choice(5, size=3, replace=False) + 5 * (d % 2)).tolist()]
+           for d in range(60)]
+    cfg = Phase1Config(r=40, a=4, epochs=2, num_clauses=12, T=12, s=3.0,
+                       N=16, seed=5)
+    return phase1.train_all(vectorize(raw, vocab), vocab, cfg, parallelism=1)
+
+
+# sha256 of the embedding rows train_embedding learns from
+# pinned_phase1_store under PINNED_PHASE2_CFG, as the expansion that filtered
+# the store on every call produced them. Any change to the random stream,
+# the expansion or the training moves it.
+PINNED_EMBEDDING_SHA256 = \
+    "c9999f4463695b78840604728e8299eafaaf8f7a1113c643c09f44c7e3d8df46"
+PINNED_PHASE2_CFG = Phase1Config(r=30, a=2, epochs=2, num_clauses=12, T=12,
+                                 s=3.0, N=16, seed=9)
+
+
+def test_train_embedding_rows_are_pinned():
+    store = pinned_phase1_store()
+    stats = phase2.Phase2Stats()
+    _, emb = phase2.train_embedding(store, range(10), PINNED_PHASE2_CFG, stats)
+    assert (stats.attempts, stats.skips) == (600, 0)
+    assert hashlib.sha256(emb.rows.tobytes()).hexdigest() == \
+        PINNED_EMBEDDING_SHA256
+
+
+def test_train_embedding_filters_each_word_and_polarity_once(monkeypatch):
+    calls = Counter()
+
+    def record(entry, q):
+        calls[entry.word, q] += 1
+        return filter_by_polarity(entry, q)
+
+    monkeypatch.setattr(phase2, "filter_by_polarity", record)
+    store = pinned_phase1_store()
+    phase2.train_embedding(store, range(10), PINNED_PHASE2_CFG)
+    assert set(calls.values()) == {1}
+    assert len(calls) <= 2 * len(store.entries)
+
+
 # ---- embedding extraction ----
 
 def test_extract_embedding_zero_bank():
@@ -162,14 +316,16 @@ def test_extract_embedding_is_linear_in_weights():
 
 # ---- training loop ----
 
+DISJOINT = {
+    0: [((0, 2), 2), ((2, 14), 1), ((0,), -1)],
+    1: [((5, 7), 2), ((7, 19), 1), ((5,), -1)],
+    2: [((0, 2), 1), ((2,), -1)],
+    5: [((5, 19), 1), ((7,), -2)],
+}
+
+
 def two_word_disjoint_store():
-    _, store = make_store({
-        0: [((0, 2), 2), ((2, 14), 1), ((0,), -1)],
-        1: [((5, 7), 2), ((7, 19), 1), ((5,), -1)],
-        2: [((0, 2), 1), ((2,), -1)],
-        5: [((5, 19), 1), ((7,), -2)],
-    }, V=12)
-    return store
+    return make_store(DISJOINT, V=12)[1]
 
 
 def test_train_embedding_shapes_and_determinism():
@@ -190,21 +346,39 @@ def test_train_embedding_single_target_degenerates():
     assert bank.num_outputs == 1
 
 
-def test_disjoint_knowledge_gives_disjoint_embeddings():
+def test_disjoint_knowledge_gives_disjoint_inputs():
+    # every expanded input of word 0 misses every expanded input of word 1
     store = two_word_disjoint_store()
-    cfg = desk_cfg(r=200, epochs=3, num_clauses=16, T=16, N=32)
-    _, emb = phase2.train_embedding(store, [0, 1], cfg)
-    e0, e1 = emb.rows
-    pos0 = set(np.flatnonzero(e0 > 0).tolist())
-    pos1 = set(np.flatnonzero(e1 > 0).tolist())
-    assert pos0 and pos1
-    assert not pos0 & pos1  # supporting evidence never overlaps
-    active0 = set(np.flatnonzero(e0).tolist())
-    active1 = set(np.flatnonzero(e1).tolist())
-    jaccard = len(active0 & active1) / len(active0 | active1)
-    assert jaccard < 0.3
-    cos = float(e0 @ e1 / (np.linalg.norm(e0) * np.linalg.norm(e1)))
-    assert abs(cos) < 0.2
+    rng = np.random.default_rng(0)
+    for q in (0, 1):
+        for a in (1, 2, 3):
+            seen = {0: set(), 1: set()}
+            for _ in range(40):
+                for w in seen:
+                    x = phase2.build_x_phase2(store, w, q, a, rng)
+                    seen[w].update(np.flatnonzero(x).tolist())
+            assert seen[0] and seen[1]
+            assert not seen[0] & seen[1]
+
+
+def test_disjoint_knowledge_embeds_further_apart_than_shared_knowledge():
+    # over seeds 0-19, the two disjoint words are less alike than any pair
+    # that carries the same clauses (largest 0.069 against smallest 0.673
+    # when this was written)
+    disjoint = two_word_disjoint_store()
+    _, shared = make_store({**DISJOINT, 1: DISJOINT[0]}, V=12)
+
+    def cosines(store):
+        out = []
+        for seed in range(20):
+            cfg = desk_cfg(r=200, epochs=3, num_clauses=16, T=16, N=32,
+                           seed=seed)
+            e0, e1 = phase2.train_embedding(store, [0, 1], cfg)[1].rows
+            out.append(float(e0 @ e1 / (np.linalg.norm(e0)
+                                        * np.linalg.norm(e1))))
+        return out
+
+    assert max(cosines(disjoint)) < min(cosines(shared))
 
 
 def test_train_embedding_validates_targets():

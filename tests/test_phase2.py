@@ -151,37 +151,120 @@ def random_expansion_store(rng):
     return make_store(entries, V)[1]
 
 
+def active_sets(build, store, word, q, a, rng, n, *index):
+    """How often each active-literal set came out of n expansions."""
+    return Counter(frozenset(np.flatnonzero(
+        build(store, word, q, a, rng, *index)).tolist()) for _ in range(n))
+
+
+def homogeneity_p(mine: Counter, theirs: Counter) -> float:
+    """Chi-square p-value that two equally sized samples of active sets
+    share one law. Sets seen fewer than 10 times in both samples together
+    are pooled into one category."""
+    rare = {s for s in mine.keys() | theirs.keys() if mine[s] + theirs[s] < 10}
+    common = (mine.keys() | theirs.keys()) - rare
+    table = [[sample[s] for s in common] + [sum(sample[s] for s in rare)]
+             for sample in (mine, theirs)]
+    table = [row for row in zip(*table) if sum(row)]
+    if len(table) < 2:
+        return 1.0
+    return chi2_contingency(np.array(table).T)[1]
+
+
+# Every case of the expansion on one store: V=5, literals 5-9 negate words
+# 0-4. Word 0's positive clauses share literal 1 (word 1 is expanded once per
+# sampled clause that carries it), both polarities carry negated literals,
+# word 2 has only positive clauses, fewer than some windows, word 3 only
+# negative ones, and word 4 has no entry, so it is activated but never
+# expanded.
+LAW_STORE = {
+    0: [((1, 2), 1), ((1, 8), 2), ((3,), 1), ((0, 6), -1), ((4,), -2),
+        ((2, 8), -1)],
+    1: [((3,), 1), ((4,), 2), ((2, 9), 1), ((0,), -1), ((3, 7), -1)],
+    2: [((1, 4), 1), ((7,), 1)],
+    3: [((4,), -1), ((1,), -2)],
+}
+LAW_CASES = {  # (word, q, a)
+    "a < n": (0, 1, 1),
+    "a < n, literal 1 in two sampled clauses": (0, 1, 2),
+    "a >= n at level 1, a < n at level 2": (2, 1, 2),
+    "negated literals": (0, 0, 2),
+    "negative expansions": (1, 0, 1),
+    "positive-only word": (2, 1, 1),
+    "negative-only word": (3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_expansion_law_matches_the_filtering_oracle(case):
+    # the active-literal set has the law of the expansion that filtered the
+    # store on every call (tests/oracles.py); only the random stream may
+    # differ
+    word, q, a = LAW_CASES[case]
+    _, store = make_store(LAW_STORE, V=5)
+    index = phase2.PolarityIndex(store)
+    mine = active_sets(phase2.build_x_phase2, store, word, q, a,
+                       np.random.default_rng([31, word, q, a]), 3000, index)
+    theirs = active_sets(oracles.build_x_phase2, store, word, q, a,
+                         np.random.default_rng([32, word, q, a]), 3000)
+    assert len(mine) > 1
+    assert homogeneity_p(mine, theirs) > 1e-3
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_expansion_law_matches_the_filtering_oracle_on_random_stores(seed):
+    rng = np.random.default_rng([33, seed])
+    store = random_expansion_store(rng)
+    cases = [(w, q) for w, k in store.entries.items() for q in (0, 1)
+             if filter_by_polarity(k, q)]
+    word, q = cases[int(rng.integers(len(cases)))]
+    a = int(rng.integers(1, 4))
+    mine = active_sets(phase2.build_x_phase2, store, word, q, a,
+                       np.random.default_rng([34, seed]), 1500)
+    theirs = active_sets(oracles.build_x_phase2, store, word, q, a,
+                         np.random.default_rng([35, seed]), 1500)
+    assert homogeneity_p(mine, theirs) > 1e-3
+
+
 @pytest.mark.parametrize("shared_index", [False, True])
 def test_expansion_matches_the_filtering_oracle(shared_index):
-    # same vector, same error and the same random stream as the expansion
-    # that filtered the store on every call (tests/oracles.py), whether
-    # each call builds its own index or all calls share one
+    # the same error, dtype and law of the active set as the expansion that
+    # filtered the store on every call (tests/oracles.py), whether each call
+    # builds its own index or all calls share one; the law is compared over
+    # 20 expansions of every call that succeeds
     rng = np.random.default_rng(12)
     seen = Counter()
-    for _ in range(80):
+    mine, theirs = Counter(), Counter()
+    for si in range(40):
         store = random_expansion_store(rng)
-        index = phase2.PolarityIndex(store) if shared_index else None
-        seed = int(rng.integers(2**32))
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(25):
+        index = [phase2.PolarityIndex(store)] if shared_index else []
+        mine_rng = np.random.default_rng(int(rng.integers(2**32)))
+        their_rng = np.random.default_rng(int(rng.integers(2**32)))
+        for query in range(25):
             word = int(rng.integers(store.V + 1))
             q, a = int(rng.integers(2)), int(rng.integers(1, 5))
             try:
-                expected = oracles.build_x_phase2(store, word, q, a, theirs)
+                expected = oracles.build_x_phase2(store, word, q, a, their_rng)
             except ValueError as err:
                 with pytest.raises(ValueError, match=re.escape(str(err))):
-                    phase2.build_x_phase2(store, word, q, a, mine, index)
+                    phase2.build_x_phase2(store, word, q, a, mine_rng, *index)
                 seen["no entry" if word not in store.entries
                      else "no polarity"] += 1
-            else:
-                x = phase2.build_x_phase2(store, word, q, a, mine, index)
-                assert x.dtype == expected.dtype
-                assert np.array_equal(x, expected)
-                n = len(filter_by_polarity(store.entries[word], q))
-                seen["a < n" if a < n else "a >= n"] += 1
-            assert mine.bit_generator.state == theirs.bit_generator.state
+                continue
+            x = phase2.build_x_phase2(store, word, q, a, mine_rng, *index)
+            assert x.dtype == expected.dtype and x.shape == expected.shape
+            n = len(filter_by_polarity(store.entries[word], q))
+            seen["a < n" if a < n else "a >= n"] += 1
+            key = (si, query)
+            for sample, build, r, extra in (
+                    (mine, phase2.build_x_phase2, mine_rng, index),
+                    (theirs, oracles.build_x_phase2, their_rng, [])):
+                for s, count in active_sets(build, store, word, q, a, r, 20,
+                                            *extra).items():
+                    sample[key, s] += count
     assert min(seen[k] for k in ("no entry", "no polarity", "a < n",
-                                 "a >= n")) > 50
+                                 "a >= n")) > 25
+    assert homogeneity_p(mine, theirs) > 1e-3
 
 
 def test_a_direct_call_filters_only_the_words_it_expands(monkeypatch):
@@ -214,17 +297,32 @@ def test_a_direct_call_filters_only_the_words_it_expands(monkeypatch):
 
 def test_a_literal_in_two_sampled_clauses_is_expanded_twice():
     # both of word 0's clauses carry literal 1, so a=2 expands word 1 twice:
-    # two level-2 draws, each of which advances the random stream
+    # two independent 2-of-4 draws of its single-word clauses, so more than
+    # two of them show with probability 5/6 (one draw alone shows exactly two)
     _, store = make_store({
         0: [((1, 9), 1), ((1, 2), 2)],
         1: [((3,), 1), ((4,), 1), ((5,), 1), ((6, 7), 1)],
         2: [((2,), -1)],  # no positive clause, so never expanded at q=1
     }, V=8)
-    for seed in range(20):
-        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = phase2.build_x_phase2(store, 0, 1, 2, mine)
-        assert np.array_equal(x, oracles.build_x_phase2(store, 0, 1, 2, theirs))
-        assert mine.bit_generator.state == theirs.bit_generator.state
+    n = 3000
+    for build, seed in ((phase2.build_x_phase2, 36),
+                        (oracles.build_x_phase2, 37)):
+        rng = np.random.default_rng(seed)
+        shown = Counter()
+        for _ in range(n):
+            x = build(store, 0, 1, 2, rng)
+            assert x[[1, 2, 9]].all()
+            shown[int(x[[3, 4, 5, 6]].sum())] += 1
+        assert set(shown) <= {2, 3, 4}
+        more = (shown[3] + shown[4]) / n
+        assert abs(more - 5 / 6) < 4 * (5 / 36 / n) ** 0.5
+    # clause (6, 7) shows whole or not at all
+    mine = active_sets(phase2.build_x_phase2, store, 0, 1, 2,
+                       np.random.default_rng(38), n)
+    assert all((6 in s) == (7 in s) for s in mine)
+    theirs = active_sets(oracles.build_x_phase2, store, 0, 1, 2,
+                         np.random.default_rng(39), n)
+    assert homogeneity_p(mine, theirs) > 1e-3
 
 
 def pinned_phase1_store():

@@ -3,7 +3,7 @@ similarity evaluation, and embedding-driven data augmentation."""
 
 from .corpus import (DocumentSet, Vocabulary, build_vocabulary, read_corpus,
                      tokenize, vectorize)
-from .cotm import (ClauseBank, clause_output, init_bank, literal_vector,
+from .cotm import (ClauseBank, clause_output, init_bank,
                    negation_closed_vector, predict, update, vote_sum)
 from .knowledge import (Clause, KnowledgeStore, WordKnowledge,
                         filter_by_polarity, from_bank)

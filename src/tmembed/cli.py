@@ -50,7 +50,7 @@ def _sha256_file(path) -> str:
 
 
 def _write_manifest(command: str, cfg: dict, inputs: list[str],
-                    outputs: list[str], t0: float) -> None:
+                    outputs: list[str], t0: float, **extra) -> None:
     manifest = {
         "command": command,
         "config": cfg,
@@ -58,6 +58,7 @@ def _write_manifest(command: str, cfg: dict, inputs: list[str],
         "input_digests": {p: _sha256_file(p) for p in inputs},
         "output_paths": outputs,
         "wall_time_s": time.monotonic() - t0,
+        **extra,
     }
     with open(outputs[0] + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -305,12 +306,18 @@ def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> int:
     if missing:
         raise ValueError(f"target words absent from store: {', '.join(missing)}")
     targets = [vocab.index_of[t] for t in tokens]
-    _, emb = p2.train_embedding(store, targets, p2cfg)
+    stats = p2.Phase2Stats()
+    _, emb = p2.train_embedding(store, targets, p2cfg, stats)
     p2.save_embeddings(emb, vocab, cfg["out"], sparse=cfg["sparse"])
     _write_manifest("phase2", cfg,
                     [cfg["knowledge"], cfg["targets"], cfg["vocab"]],
-                    [cfg["out"]], t0)
+                    [cfg["out"]], t0, attempts=stats.attempts,
+                    skips=stats.skips)
     print(f"embeddings: {len(targets)} words -> {cfg['out']}")
+    print(f"phase 2: {stats.skips}/{stats.attempts} word examples skipped",
+          file=sys.stderr)
+    for w, n in stats.skipped_words.most_common(5):
+        print(f"  skipped {vocab.words[w]!r}: {n}", file=sys.stderr)
     return 0
 
 

@@ -93,15 +93,13 @@ def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:
 def vectorize(raw_docs: list[list[str]], vocab: Vocabulary) -> DocumentSet:
     """Map documents to in-vocabulary index sets; out-of-vocabulary tokens are dropped."""
     index_of = vocab.index_of
-    docs = []
-    inverted: list[list[int]] = [[] for _ in range(vocab.size)]
-    for d, doc in enumerate(raw_docs):
-        seen = {index_of[t] for t in doc if t in index_of}
-        idx = np.array(sorted(seen), dtype=np.int64)
-        docs.append(idx)
-        for w in idx:
-            inverted[w].append(d)
-    inv = [np.array(ids, dtype=np.int64) for ids in inverted]
+    docs = [np.array(sorted({index_of[t] for t in doc if t in index_of}),
+                     dtype=np.int64) for doc in raw_docs]
+    # a stable sort by word keeps each word's documents in ascending order
+    words = np.concatenate([np.empty(0, dtype=np.int64), *docs])
+    doc_of = np.repeat(np.arange(len(docs)), [d.size for d in docs])
+    ends = np.bincount(words, minlength=vocab.size).cumsum()
+    inv = np.split(doc_of[np.argsort(words, kind="stable")], ends[:-1])
     return DocumentSet(V=vocab.size, docs=docs, inverted=inv)
 
 

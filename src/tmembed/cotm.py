@@ -76,17 +76,6 @@ def negation_closed_vector(features, V: int) -> np.ndarray:
     return x
 
 
-def literal_vector(literals, V: int) -> np.ndarray:
-    """Length-2V vector with exactly the given literal indices set; no closure."""
-    x = np.zeros(2 * V, dtype=np.uint8)
-    idx = np.fromiter(literals, dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= 2 * V:
-            raise ValueError("literal index out of range")
-        x[idx] = 1
-    return x
-
-
 def _check_input(bank: ClauseBank, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] != bank.num_literals:

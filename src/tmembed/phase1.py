@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 
 from .corpus import DocumentSet, Vocabulary
-from .cotm import init_bank, negation_closed_vector, update
+from .cotm import init_bank, update
 from .knowledge import KnowledgeStore, WordKnowledge, as_entry, from_bank
 
 
@@ -71,13 +71,14 @@ def build_x_from_documents(ds: DocumentSet, word: int, q: int, a: int,
                            rng: np.random.Generator,
                            pools: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray:
-    """Union the picked documents' word sets into a negation-closed vector."""
+    """Union the picked documents' word sets into a negation-closed vector:
+    their word ids are scattered straight into the feature half."""
     picked = pick_documents(ds, word, q, a, rng, pools)
+    x = np.zeros(2 * ds.V, dtype=np.uint8)
     if picked.size:
-        features = np.unique(np.concatenate([ds.docs[d] for d in picked]))
-    else:
-        features = ()
-    return negation_closed_vector(features, ds.V)
+        x[np.concatenate([ds.docs[d] for d in picked.tolist()])] = 1
+    x[ds.V:] = 1 - x[:ds.V]
+    return x
 
 
 def _word_rng(cfg: Phase1Config, word: int) -> np.random.Generator:

@@ -7,20 +7,23 @@ clauses of the same polarity. The collected literal set is activated directly;
 no negation closure is applied, because the clauses already carry negated
 literals.
 
-Training reads the store through one `PolarityIndex`, which filters each
-word by polarity once, not once per example. It changes no random draw, so
-the embeddings are byte for byte those of filtering on every example.
+Training reads the store through one `PolarityIndex`: CSR tables of each
+polarity's clauses, built once. An example draws each level's clauses in one
+exact draw of uniform subsets and scatters their literals into its input; the
+active-literal set has the law of sampling the clauses one at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .cotm import ClauseBank, init_bank, literal_vector, update
+from .cotm import ClauseBank, init_bank, update
 from .knowledge import Clause, KnowledgeStore, filter_by_polarity
 from .phase1 import Phase1Config
 
@@ -43,43 +46,125 @@ class Phase2Stats:
     skipped_words: Counter = field(default_factory=Counter)
 
 
-class PolarityIndex:
-    """The q-polarity clauses of one store's words, filled as calls touch them.
+class _Polarity(NamedTuple):
+    """One polarity's clauses as CSR tables over clause ids 0..C-1, in
+    word then store order: word w's clauses are ids word_ptr[w] up to
+    word_ptr[w + 1]; clause c's literals are literals[lit_ptr[c]:lit_ptr[c +
+    1]] and its expandable words expand[exp_ptr[c]:exp_ptr[c + 1]]. `bad`
+    marks the clauses with a literal outside [0, 2V)."""
 
-    Each word and q is filtered once. The first time a clause is drawn, its
-    expandable literals (original features, < V, whose own q-list is
-    non-empty) are resolved to their q-lists. Build a new index after
-    changing the store.
-    """
+    word_ptr: np.ndarray
+    lit_ptr: np.ndarray
+    literals: np.ndarray
+    exp_ptr: np.ndarray
+    expand: np.ndarray
+    bad: np.ndarray
+
+
+def _csr(counts: np.ndarray) -> np.ndarray:
+    """Row pointers of a CSR table whose rows hold these counts."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _polarity(store: KnowledgeStore, q: int) -> _Polarity:
+    V = store.V
+    per_word = np.zeros(max(V, max(store.entries, default=-1) + 1),
+                        dtype=np.int64)
+    clauses: list[Clause] = []
+    for w in sorted(store.entries):
+        found = filter_by_polarity(store.entries[w], q)
+        per_word[w] = len(found)
+        clauses += found
+    lit_ptr = _csr(np.fromiter(map(len, (c.literals for c in clauses)),
+                               dtype=np.int64, count=len(clauses)))
+    literals = np.fromiter(chain.from_iterable(c.literals for c in clauses),
+                           dtype=np.int64, count=int(lit_ptr[-1]))
+    # an original feature is expandable if its own q-list is non-empty
+    expandable = (literals >= 0) & (literals < V)
+    expandable[expandable] = per_word[literals[expandable]] > 0
+    bad = _csr((literals < 0) | (literals >= 2 * V))[lit_ptr]
+    return _Polarity(_csr(per_word), lit_ptr, literals,
+                     _csr(expandable)[lit_ptr], literals[expandable],
+                     bad[1:] > bad[:-1])
+
+
+class PolarityIndex:
+    """Both polarities' clauses of one store as CSR tables (`_Polarity`),
+    built once: each word is filtered once per polarity. A literal repeated
+    across clauses is an expandable word of each of them. Build a new index
+    after changing the store."""
 
     def __init__(self, store: KnowledgeStore):
-        self._store = store
-        self._clauses: dict[tuple[int, int], list[Clause]] = {}
-        self._expand: dict[tuple[int, int], list] = {}
+        self.by_q = (_polarity(store, 0), _polarity(store, 1))
 
-    def clauses(self, word: int, q: int) -> list[Clause]:
-        """The word's q-polarity clauses in store order; [] without an entry."""
-        key = (word, q)
-        found = self._clauses.get(key)
-        if found is None:
-            entry = self._store.entries.get(word)
-            found = [] if entry is None else filter_by_polarity(entry, q)
-            self._clauses[key] = found
-            self._expand[key] = [None] * len(found)
-        return found
 
-    def expansions(self, word: int, q: int, j: int
-                   ) -> tuple[list[Clause], ...]:
-        """The q-lists of clause j's expandable literals, in clause order
-        (a literal repeated across clauses is expanded in each)."""
-        per_clause = self._expand[(word, q)]
-        found = per_clause[j]
-        if found is None:
-            V = self._store.V
-            found = per_clause[j] = tuple(filter(None, (
-                self.clauses(lit, q)
-                for lit in self._clauses[(word, q)][j].literals if lit < V)))
-        return found
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + length), concatenated."""
+    ends = lengths.cumsum()
+    return np.repeat(starts + lengths - ends, lengths) + np.arange(
+        ends[-1] if ends.size else 0)
+
+
+def _gather(ptr: np.ndarray, flat: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The CSR rows ids of flat, concatenated."""
+    starts = ptr[ids]
+    return flat[_ranges(starts, ptr[ids + 1] - starts)]
+
+
+def _below(rng: np.random.Generator, n: np.ndarray) -> np.ndarray:
+    """Exact uniform integers in [0, n) for each bound in n (int64, > 0).
+
+    Each is a raw 64-bit word modulo its bound. Words below 2**64 mod n are
+    drawn again: the words left cover every residue equally often.
+    """
+    n = n.astype(np.uint64)
+    floor = -n % n
+    x = rng.bit_generator.random_raw(n.size)
+    low = x < floor
+    while low.any():
+        x[low] = rng.bit_generator.random_raw(np.count_nonzero(low))
+        low = x < floor
+    return (x % n).astype(np.int64)
+
+
+def _subsets(starts: np.ndarray, counts: np.ndarray, a: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """A uniform min(a, n)-subset of each range [start, start + n), drawn
+    independently per range, concatenated.
+
+    Where fewer ids are left out than kept, the left-out ones are drawn.
+    A range's draws are exact uniform integers, and those that repeat an
+    earlier draw of their range are drawn again until the range holds as
+    many distinct ids as it needs. That keeps the law exact: the process
+    treats every id of a range alike, so every subset of the size it stops
+    at is equally likely.
+    """
+    keep = np.minimum(counts, a)
+    rest = counts - keep
+    left_out = rest < keep
+    seg = np.repeat(np.arange(counts.size), np.minimum(keep, rest))
+    # draws are keyed by their place in the ranges laid end to end, so
+    # sorting the keys keeps each range's draws together
+    offsets = counts.cumsum() - counts
+    key = offsets[seg] + _below(rng, counts[seg])
+    while True:
+        key.sort()
+        again = np.flatnonzero(key[1:] == key[:-1]) + 1
+        if not again.size:
+            break
+        key[again] = offsets[seg[again]] + _below(rng, counts[seg[again]])
+    shift = starts - offsets
+    if not left_out.any():
+        return key + shift[seg]
+    # a range that drew the ids it leaves out keeps all its other ids
+    drawn_out = left_out[seg]
+    kept = np.repeat(left_out, counts)
+    kept[key[drawn_out]] = False
+    kept = np.flatnonzero(kept)
+    return np.concatenate([key[~drawn_out] + shift[seg[~drawn_out]],
+                           kept + np.repeat(shift, counts)[kept]])
 
 
 def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
@@ -89,28 +174,33 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
 
     Level 1 samples min(a, available) clauses of the word's q polarity and
     collects their literals. Level 2 expands each collected literal that is an
-    original feature with a knowledge entry: sample min(a, available) of that
-    word's q-polarity clauses and collect their literals too. Negated literals
-    (index >= V) are activated but never expanded. Lookups go through index,
-    which must have been built over this store; without one, a fresh index
-    serves this call only.
+    original feature with q-polarity knowledge, once per sampled clause that
+    carries it: sample min(a, available) of that word's q-polarity clauses
+    and collect their literals too. Negated literals (index >= V) are
+    activated but never expanded. Each level is one draw of uniform subsets.
+    Lookups go through index, which must have been built over this store;
+    without one, a fresh index serves this call only.
     """
     if word not in store.entries:
         raise ValueError(f"word {word} has no knowledge entry")
-    if index is None:
-        index = PolarityIndex(store)
-    clauses = index.clauses(word, q)
-    if not clauses:
+    if q not in (0, 1):
+        raise ValueError(f"target bit must be 0 or 1, got {q!r}")
+    t = (index or PolarityIndex(store)).by_q[int(q)]
+    first, n = t.word_ptr[word], t.word_ptr[word + 1] - t.word_ptr[word]
+    if not n:
         raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
-    active: set[int] = set()
-    n = min(a, len(clauses))
-    for j in rng.choice(len(clauses), size=n, replace=False).tolist():
-        active.update(clauses[j].literals)
-        for sub in index.expansions(word, q, j):
-            m = min(a, len(sub))
-            for sj in rng.choice(len(sub), size=m, replace=False).tolist():
-                active.update(sub[sj].literals)
-    return literal_vector(active, store.V)
+    ids = first + (rng.choice(n, size=a, replace=False) if n > a
+                   else np.arange(n))
+    words = _gather(t.exp_ptr, t.expand, ids)
+    if words.size:
+        starts = t.word_ptr[words]
+        ids = np.concatenate([ids, _subsets(
+            starts, t.word_ptr[words + 1] - starts, a, rng)])
+    if t.bad[ids].any():
+        raise ValueError("literal index out of range")
+    x = np.zeros(2 * store.V, dtype=np.uint8)
+    x[_gather(t.lit_ptr, t.literals, ids)] = 1
+    return x
 
 
 def extract_embedding(bank: ClauseBank, o: int) -> np.ndarray:

@@ -9,7 +9,6 @@ from collections import Counter
 
 import numpy as np
 
-from tmembed.cotm import literal_vector
 from tmembed.knowledge import KnowledgeStore, filter_by_polarity
 
 
@@ -255,8 +254,20 @@ def save_store_loopwise(store, path):
 
 
 # Phase-2 input expansion as it was before the polarity index: it filters
-# the knowledge store again for every word it expands. build_x_phase2 below
-# is that function verbatim.
+# the knowledge store again for every word it expands, and samples clause by
+# clause with rng.choice. build_x_phase2 below is that function verbatim, and
+# literal_vector is the library helper it used, also verbatim.
+
+def literal_vector(literals, V: int) -> np.ndarray:
+    """Length-2V vector with exactly the given literal indices set; no closure."""
+    x = np.zeros(2 * V, dtype=np.uint8)
+    idx = np.fromiter(literals, dtype=np.int64)
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= 2 * V:
+            raise ValueError("literal index out of range")
+        x[idx] = 1
+    return x
+
 
 def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
                    rng: np.random.Generator) -> np.ndarray:
@@ -292,3 +303,36 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
             for sj in rng.choice(len(sub), size=m, replace=False):
                 active.update(sub[sj].literals)
     return literal_vector(active, V)
+
+
+# Phase-1 input building and corpus vectorizing as they were before the
+# direct scatter and the sorted inverted index; both verbatim.
+
+def build_x_from_documents(ds, word, q, a, rng, pools=None):
+    """Union the picked documents' word sets into a negation-closed vector."""
+    from tmembed.cotm import negation_closed_vector
+    from tmembed.phase1 import pick_documents
+
+    picked = pick_documents(ds, word, q, a, rng, pools)
+    if picked.size:
+        features = np.unique(np.concatenate([ds.docs[d] for d in picked]))
+    else:
+        features = ()
+    return negation_closed_vector(features, ds.V)
+
+
+def vectorize_loopwise(raw_docs, vocab):
+    """Map documents to in-vocabulary index sets; out-of-vocabulary tokens are dropped."""
+    from tmembed.corpus import DocumentSet
+
+    index_of = vocab.index_of
+    docs = []
+    inverted: list[list[int]] = [[] for _ in range(vocab.size)]
+    for d, doc in enumerate(raw_docs):
+        seen = {index_of[t] for t in doc if t in index_of}
+        idx = np.array(sorted(seen), dtype=np.int64)
+        docs.append(idx)
+        for w in idx:
+            inverted[w].append(d)
+    inv = [np.array(ids, dtype=np.int64) for ids in inverted]
+    return DocumentSet(V=vocab.size, docs=docs, inverted=inv)

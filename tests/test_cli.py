@@ -1,13 +1,14 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tmembed import cli, corpus, knowledge
 from tmembed.corpus import load_vocabulary
-from conftest import sentiment_fixture
+from conftest import make_store, sentiment_fixture
 
 
 FAST = ["--r", "40", "--a", "3", "--clauses", "8", "--T", "8", "--s", "2.0",
@@ -109,6 +110,28 @@ def test_phase2_vocabulary_mismatch(workdir):
     code = run(["phase2", store_path, targets, "--vocab", wrong,
                 "--out", tmp / "x.txt"] + FAST)
     assert code == 1
+
+
+def test_phase2_reports_skipped_examples(tmp_path, capsys):
+    # w1 has no negative-weight clause, so every q=0 example of it is
+    # skipped: the count goes to stderr, naming w1, and into the manifest
+    vocab, store = make_store({0: [((1,), 2), ((2, 5), -1)],
+                               1: [((0, 3), 1)]}, V=4)
+    store_path, vocab_file = tmp_path / "k.tmk", tmp_path / "vocab.txt"
+    knowledge.save(store, store_path)
+    corpus.save_vocabulary(vocab, vocab_file)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("w0\nw1\n")
+    out = tmp_path / "emb.txt"
+    assert run(["phase2", store_path, targets, "--vocab", vocab_file,
+                "--out", out] + FAST) == 0
+    err = capsys.readouterr().err
+    skips, attempts = map(int, re.search(
+        r"phase 2: (\d+)/(\d+) word examples skipped", err).groups())
+    assert attempts == 40 * 2 * 2 and 0 < skips < attempts / 2
+    assert f"skipped 'w1': {skips}" in err and "'w0'" not in err
+    manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
+    assert (manifest["attempts"], manifest["skips"]) == (attempts, skips)
 
 
 def test_eval_command_reports_fixture_scores(workdir, capsys):

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from tmembed import corpus
-from oracles import df_ranking
+from oracles import df_ranking, vectorize_loopwise
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
@@ -76,6 +78,30 @@ def test_inverted_index_round_trip_exhaustive():
         for w in range(V):
             for d in range(ds.num_docs):
                 assert (d in ds.inverted[w]) == (w in ds.docs[d])
+
+
+def test_vectorize_matches_the_loop_oracle():
+    # the same arrays and dtypes as appending every (document, word) pair in
+    # a loop, with empty documents, out-of-vocabulary tokens, words no
+    # document holds, and no documents at all
+    rng = np.random.default_rng(12)
+    seen = Counter()
+    for trial in range(60):
+        V = int(rng.integers(1, 12))
+        vocab = corpus.Vocabulary.from_words([f"w{i}" for i in range(V)])
+        raw = [[f"w{j}" for j in rng.integers(0, V + 3, size=rng.integers(0, 8))]
+               for _ in range(0 if trial < 3 else rng.integers(1, 15))]
+        mine, theirs = corpus.vectorize(raw, vocab), vectorize_loopwise(raw, vocab)
+        assert mine.V == theirs.V
+        for got, want in ((mine.docs, theirs.docs),
+                          (mine.inverted, theirs.inverted)):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        seen["no documents"] += not raw
+        seen["empty document"] += any(d.size == 0 for d in mine.docs)
+        seen["word in no document"] += any(d.size == 0 for d in mine.inverted)
+    assert min(seen.values()) >= 3 and len(seen) == 3
 
 
 def test_determinism():

@@ -287,10 +287,3 @@ def test_negation_closed_vector():
     assert x.tolist() == [0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1]
     with pytest.raises(ValueError, match="feature index"):
         cotm.negation_closed_vector([8], 8)
-
-
-def test_literal_vector_no_closure():
-    x = cotm.literal_vector([0, 9], 5)
-    assert x.sum() == 2 and x[0] == 1 and x[9] == 1
-    with pytest.raises(ValueError, match="literal index"):
-        cotm.literal_vector([10], 5)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tmembed import knowledge, phase1
 from tmembed.corpus import Vocabulary, vectorize
 from tmembed.knowledge import filter_by_polarity
+import oracles
 from oracles import eligible_documents
 
 
@@ -108,6 +110,36 @@ def test_document_pools_leave_the_draws_unchanged(q):
         y = phase1.build_x_from_documents(ds, 0, q, 3, pooled, pools)
         assert np.array_equal(x, y)
         assert plain.bit_generator.state == pooled.bit_generator.state
+
+
+def test_build_x_from_documents_matches_the_unique_oracle():
+    # the same vector, dtype, error and random stream as building the
+    # vector from np.unique of the picked documents (tests/oracles.py)
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        V = int(rng.integers(2, 10))
+        vocab = Vocabulary.from_words([f"w{i}" for i in range(V)])
+        raw = [[f"w{j}" for j in rng.integers(0, V, size=rng.integers(0, 6))]
+               for _ in range(rng.integers(1, 12))]
+        ds = vectorize(raw, vocab)
+        seed = int(rng.integers(2**32))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            word, q, a = int(rng.integers(V)), int(rng.integers(2)), \
+                int(rng.integers(1, 5))
+            pools = phase1.document_pools(ds, word) if rng.random() < 0.5 \
+                else None
+            try:
+                expected = oracles.build_x_from_documents(ds, word, q, a,
+                                                          theirs, pools)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    phase1.build_x_from_documents(ds, word, q, a, mine, pools)
+            else:
+                x = phase1.build_x_from_documents(ds, word, q, a, mine, pools)
+                assert x.dtype == expected.dtype
+                assert np.array_equal(x, expected)
+            assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 def cooccurrence_corpus():

@@ -1,10 +1,11 @@
 import hashlib
 import re
 from collections import Counter
+from math import comb
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 import oracles
 from tmembed import cotm, phase1, phase2
@@ -96,6 +97,65 @@ def test_window_truncates_sampled_clauses():
     assert len(seen) > 1  # sampling actually varies
 
 
+def test_a_literal_outside_the_literal_space_raises_and_never_wraps():
+    # literals -1 and 2V = 8 would wrap or fall off a length-8 vector
+    _, store = make_store({0: [((1, 8), 1)], 1: [((-1,), 1)],
+                           2: [((0,), 1)], 3: [((3, 6), 1)]}, V=4)
+    rng = np.random.default_rng(15)
+    for word in (0, 1, 2):  # word 2 reaches word 0's clause through level 2
+        with pytest.raises(ValueError, match="literal index out of range"):
+            phase2.build_x_phase2(store, word, 1, 2, rng)
+    x = phase2.build_x_phase2(store, 3, 1, 2, rng)
+    assert np.flatnonzero(x).tolist() == [3, 6]
+
+
+def test_below_is_uniform_even_where_the_modulus_would_not_be():
+    # 2**64 mod 3 * 2**61 is 2**62: without drawing the words below it
+    # again, the lower two thirds of the bound would each come up 3/8 of
+    # the time
+    rng = np.random.default_rng(16)
+    n = np.array([3 * 2**61] * 3000 + [1] * 10 + [7] * 3000, dtype=np.int64)
+    x = phase2._below(rng, n)
+    assert x.dtype == np.int64 and (x >= 0).all() and (x < n).all()
+    thirds = np.bincount(x[:3000] // 2**61, minlength=3)
+    assert chisquare(thirds).pvalue > 1e-3
+    assert not x[3000:3010].any()
+    assert chisquare(np.bincount(x[3010:], minlength=7)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 6])
+def test_subsets_are_uniform_and_independent_per_range(a):
+    # ranges of 1, 3, 4 and 6 ids, kept by drawing the kept or the
+    # left-out ids; every pair of subsets of the last two ranges is equally
+    # likely, so each is uniform and the two are independent
+    starts, counts = np.array([0, 10, 20, 30]), np.array([1, 3, 4, 6])
+    rng = np.random.default_rng([17, a])
+    joint = Counter()
+    for _ in range(4000):
+        ids = phase2._subsets(starts, counts, a, rng).tolist()
+        per = [frozenset(i for i in ids if s <= i < s + n)
+               for s, n in zip(starts.tolist(), counts.tolist())]
+        assert sorted(ids) == sorted(set(ids)) and len(ids) == sum(map(len, per))
+        assert [len(p) for p in per] == [min(a, n) for n in counts.tolist()]
+        joint[per[2], per[3]] += 1
+    assert len(joint) == comb(4, min(a, 4)) * comb(6, min(a, 6))
+    if len(joint) > 1:
+        assert chisquare(list(joint.values())).pvalue > 1e-3
+
+
+def test_subsets_of_one_range_twice_are_drawn_apart():
+    # the same word expanded through two clauses: two independent draws
+    rng = np.random.default_rng(18)
+    together = Counter()
+    for _ in range(3000):
+        ids = phase2._subsets(np.array([5, 5]), np.array([4, 4]), 2, rng)
+        assert len(ids) == 4 and set(ids.tolist()) <= {5, 6, 7, 8}
+        together[len(set(ids.tolist()))] += 1
+    # the second pair repeats the first with probability 1/6
+    assert set(together) <= {2, 3, 4}
+    assert abs(together[2] / 3000 - 1 / 6) < 4 * (5 / 36 / 3000) ** 0.5
+
+
 def random_toy_store(rng):
     V = int(rng.integers(4, 9))
     entries = {}
@@ -173,14 +233,16 @@ def homogeneity_p(mine: Counter, theirs: Counter) -> float:
 
 # Every case of the expansion on one store: V=5, literals 5-9 negate words
 # 0-4. Word 0's positive clauses share literal 1 (word 1 is expanded once per
-# sampled clause that carries it), both polarities carry negated literals,
-# word 2 has only positive clauses, fewer than some windows, word 3 only
+# sampled clause that carries it, and a window of 2 draws 2 of its 5
+# positive clauses each time), and both polarities carry negated literals.
+# Word 2 has only positive clauses, fewer than some windows, word 3 only
 # negative ones, and word 4 has no entry, so it is activated but never
 # expanded.
 LAW_STORE = {
     0: [((1, 2), 1), ((1, 8), 2), ((3,), 1), ((0, 6), -1), ((4,), -2),
         ((2, 8), -1)],
-    1: [((3,), 1), ((4,), 2), ((2, 9), 1), ((0,), -1), ((3, 7), -1)],
+    1: [((3,), 1), ((4,), 2), ((2, 9), 1), ((7,), 1), ((5, 8), 1),
+        ((0,), -1), ((3, 7), -1)],
     2: [((1, 4), 1), ((7,), 1)],
     3: [((4,), -1), ((1,), -2)],
 }
@@ -267,32 +329,29 @@ def test_expansion_matches_the_filtering_oracle(shared_index):
     assert homogeneity_p(mine, theirs) > 1e-3
 
 
-def test_a_direct_call_filters_only_the_words_it_expands(monkeypatch):
-    # without an index, a call filters exactly the words the filtering
-    # oracle filters, not the whole store
-    def recorder(calls):
-        def record(entry, q):
-            calls.append(entry.word)
-            return filter_by_polarity(entry, q)
-        return record
+def test_a_direct_call_filters_each_word_once_per_polarity(monkeypatch):
+    # without an index, a call builds one over the whole store: it filters
+    # every entry once for each q, and nothing when it fails on its word or q
+    calls = []
 
+    def record(entry, q):
+        calls.append((entry.word, q))
+        return filter_by_polarity(entry, q)
+
+    monkeypatch.setattr(phase2, "filter_by_polarity", record)
     rng = np.random.default_rng(13)
     for _ in range(40):
         store = random_expansion_store(rng)
-        for word in store.entries:
-            for q in (0, 1):
-                mine, theirs = [], []
-                monkeypatch.setattr(phase2, "filter_by_polarity", recorder(mine))
-                monkeypatch.setattr(oracles, "filter_by_polarity",
-                                    recorder(theirs))
-                seed = int(rng.integers(2**32))
-                for calls, build in ((mine, phase2.build_x_phase2),
-                                     (theirs, oracles.build_x_phase2)):
-                    try:
-                        build(store, word, q, 2, np.random.default_rng(seed))
-                    except ValueError:
-                        pass
-                assert sorted(set(mine)) == sorted(mine) == sorted(set(theirs))
+        every = sorted((w, q) for w in store.entries for q in (0, 1))
+        for word in range(store.V + 1):
+            for q in (0, 1, 2):
+                calls.clear()
+                try:
+                    phase2.build_x_phase2(store, word, q, 2, rng)
+                except ValueError:
+                    pass
+                expect = word in store.entries and q != 2
+                assert sorted(calls) == (every if expect else [])
 
 
 def test_a_literal_in_two_sampled_clauses_is_expanded_twice():
@@ -339,11 +398,12 @@ def pinned_phase1_store():
 
 
 # sha256 of the embedding rows train_embedding learns from
-# pinned_phase1_store under PINNED_PHASE2_CFG, as the expansion that filtered
-# the store on every call produced them. Any change to the random stream,
-# the expansion or the training moves it.
+# pinned_phase1_store under PINNED_PHASE2_CFG, as the expansion that draws
+# each level's clauses in one exact subset draw produces them. Any change to
+# the random stream, the expansion or the training moves it; the law tests
+# above must pass with any new digest.
 PINNED_EMBEDDING_SHA256 = \
-    "c9999f4463695b78840604728e8299eafaaf8f7a1113c643c09f44c7e3d8df46"
+    "0376f5dddd8134df85ca1200dc9ed64b5746a5e681d28e20374b094d19879a17"
 PINNED_PHASE2_CFG = Phase1Config(r=30, a=2, epochs=2, num_clauses=12, T=12,
                                  s=3.0, N=16, seed=9)
 
@@ -369,6 +429,30 @@ def test_train_embedding_filters_each_word_and_polarity_once(monkeypatch):
     phase2.train_embedding(store, range(10), PINNED_PHASE2_CFG)
     assert set(calls.values()) == {1}
     assert len(calls) <= 2 * len(store.entries)
+
+
+def test_train_embedding_calls_build_x_phase2_once_per_word_example(
+        monkeypatch):
+    # through the module global, so a wrapper sees every attempt and every
+    # skip as a raised ValueError
+    calls, raised = [], []
+    original = phase2.build_x_phase2
+
+    def counted(*args):
+        calls.append(args[1])
+        try:
+            return original(*args)
+        except ValueError:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(phase2, "build_x_phase2", counted)
+    _, store = make_store({0: [((1,), 2), ((2,), -1)], 1: [((0,), 1)]}, V=4)
+    stats = phase2.Phase2Stats()
+    phase2.train_embedding(store, [0, 1], desk_cfg(r=40, epochs=2), stats)
+    assert len(calls) == stats.attempts == 2 * 40 * 2
+    assert len(raised) == stats.skips > 0 and set(raised) == {1}
+    assert stats.skipped_words == Counter(raised)
 
 
 # ---- embedding extraction ----

@@ -43,7 +43,9 @@ def literal_name(l):
 
 
 print("\nclauses voting for 'fruit':")
-for clause in from_bank(bank, word=0, output=0).clauses:
-    if clause.weight > 0:
-        body = " AND ".join(literal_name(l) for l in clause.literals) or "(empty)"
-        print(f"  {body}  @{clause.weight:+d}")
+# a word's clauses are arrays: weights, literal counts, all literals in order
+weights, counts, literals = from_bank(bank, word=0, output=0).clauses
+for weight, clause in zip(weights, np.split(literals, counts.cumsum()[:-1])):
+    if weight > 0:
+        body = " AND ".join(literal_name(l) for l in clause) or "(empty)"
+        print(f"  {body}  @{weight:+d}")

@@ -7,6 +7,8 @@ per-word clauses in the human-readable audit format and peek at one entry.
 from tempfile import mkdtemp
 from pathlib import Path
 
+import numpy as np
+
 from tmembed.corpus import build_vocabulary, vectorize
 from tmembed.knowledge import export_text, filter_by_polarity, save
 from tmembed.phase1 import Phase1Config, train_all
@@ -29,13 +31,14 @@ cfg = Phase1Config(r=120, a=4, epochs=2, num_clauses=16, T=16, s=3.0, N=32,
 store = train_all(ds, vocab, cfg)
 
 word = vocab.index_of["car"]
-positive = filter_by_polarity(store.entries[word], 1)
-print(f"\n'car' has {len(store.entries[word].clauses)} clauses, "
-      f"{len(positive)} vote for it; a few supporting clauses:")
-for clause in positive[:5]:
+positive = filter_by_polarity(store.entries[word], 1).clauses
+print(f"\n'car' has {store.entries[word].clauses.weights.size} clauses, "
+      f"{positive.weights.size} vote for it; a few supporting clauses:")
+clauses = np.split(positive.literals, positive.counts.cumsum()[:-1])
+for weight, clause in zip(positive.weights[:5], clauses):
     names = [vocab.words[l] if l < vocab.size else "¬" + vocab.words[l - vocab.size]
-             for l in clause.literals]
-    print(f"  {' AND '.join(names) or '(empty)'}  @{clause.weight:+d}")
+             for l in clause]
+    print(f"  {' AND '.join(names) or '(empty)'}  @{weight:+d}")
 
 out = Path(mkdtemp())
 save(store, out / "knowledge.tmk")

@@ -5,7 +5,7 @@ from .corpus import (DocumentSet, Vocabulary, build_vocabulary, read_corpus,
                      tokenize, vectorize)
 from .cotm import (ClauseBank, clause_output, init_bank,
                    negation_closed_vector, predict, update, vote_sum)
-from .knowledge import (Clause, KnowledgeStore, WordKnowledge,
+from .knowledge import (ClauseArrays, KnowledgeStore, WordKnowledge,
                         filter_by_polarity, from_bank)
 from .phase1 import Phase1Config, build_x_from_documents, train_all, train_word
 from .phase2 import (EmbeddingMatrix, build_x_phase2, extract_embedding,

@@ -47,9 +47,6 @@ class Vocabulary:
         """sha256 over the ordered token list; binds derived artifacts to this vocabulary."""
         return hashlib.sha256("\n".join(self.words).encode("utf-8")).digest()
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.index_of
-
 
 @dataclass
 class DocumentSet:

@@ -21,15 +21,15 @@ Binary store layout (all integers little-endian, fixed width):
             literals       u32 x literal_count, delta encoded: first index
                            absolute, the rest offsets from the previous one
 
-Every record passes through one form, its clause arrays: per-clause weights,
-per-clause literal counts and every absolute literal in order. The record
-walker derives them from each record's bytes (the one delta decoder), and
-`save` and `replace_word` derive them from each entry before encoding it (the
-one delta encoder); both check them by one clause rule. The walker also
-checks the header and that records ascend by word and end exactly at the end
-of the file. `replace_word` (`phase1 --word`) packs the new record and copies
-every other record's bytes unchanged: exactly the bytes `save` writes for the
-loaded, updated store.
+A word's clauses have one form, in memory and between memory and bytes:
+its clause arrays (per-clause weights, per-clause literal counts, every
+absolute literal in order). The record walker decodes each record's (the
+one delta decoder) and `load` keeps them; `save` and `replace_word` encode
+each entry's (the one delta encoder); both check them by one clause rule.
+The walker also checks the header and that records ascend by word and end
+exactly at the end of the file. `replace_word` (`phase1 --word`) packs the
+new record and copies every other record's bytes unchanged: exactly the
+bytes `save` writes for the loaded, updated store.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ import os
 import struct
 import tempfile
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -55,17 +54,41 @@ _RECORD = struct.Struct("<IBH")  # word, flag, msg_len
 _U32 = struct.Struct("<I")
 
 
-class Clause(NamedTuple):
-    """Included-literal indices (strictly increasing, < 2V) and a nonzero signed weight."""
+class ClauseArrays(NamedTuple):
+    """Clauses as int64 arrays: each one's nonzero weight and literal count,
+    then all their literals (strictly increasing per clause, < 2V) in order."""
 
-    literals: tuple[int, ...]
-    weight: int
+    weights: np.ndarray
+    counts: np.ndarray
+    literals: np.ndarray
 
 
-@dataclass(frozen=True)
+NO_CLAUSES = ClauseArrays(*np.zeros((3, 0), dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
 class WordKnowledge:
+    """A word's clause arrays; (literals, weight) pairs become arrays."""
+
     word: int
-    clauses: tuple[Clause, ...]
+    clauses: ClauseArrays | Iterable[tuple[Iterable[int], int]]
+
+    def __post_init__(self):
+        if isinstance(self.clauses, ClauseArrays):
+            return
+        pairs = [(np.fromiter(lits, np.int64), w) for lits, w in self.clauses]
+        try:  # beyond int64 is beyond i32 too
+            weights = np.array([w for _, w in pairs], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"word {self.word}: clause weight outside the "
+                             "i32 range") from None
+        object.__setattr__(self, "clauses", ClauseArrays(
+            weights, np.array([lits.size for lits, _ in pairs], dtype=np.int64),
+            np.concatenate([NO_CLAUSES.literals, *(lits for lits, _ in pairs)])))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, WordKnowledge) and self.word == other.word
+                and all(map(np.array_equal, self.clauses, other.clauses)))
 
 
 @dataclass
@@ -84,19 +107,23 @@ class KnowledgeStore:
 
 def from_bank(bank: ClauseBank, word: int, output: int = 0) -> WordKnowledge:
     """Extract every nonzero-weight clause of the given output as knowledge."""
-    included = bank.included()
-    return WordKnowledge(word=word, clauses=tuple(
-        Clause(literals=tuple(included[c].nonzero()[0].tolist()), weight=w)
-        for c, w in enumerate(bank.weights[:, output].tolist()) if w))
+    if not 0 <= output < bank.num_outputs:
+        raise ValueError(f"output id {output} out of range")
+    weights = bank.weights[:, output].astype(np.int64)
+    rows = bank.included()[weights != 0]
+    return WordKnowledge(word, ClauseArrays(  # nonzero() goes row by row
+        weights[weights != 0], rows.sum(1, dtype=np.int64),
+        rows.nonzero()[1].astype(np.int64)))
 
 
-def filter_by_polarity(knowledge: WordKnowledge, q: int) -> list[Clause]:
-    """q=1 selects positive-weight clauses, q=0 negative-weight ones."""
+def filter_by_polarity(knowledge: WordKnowledge, q: int) -> WordKnowledge:
+    """q=1 keeps the positive-weight clauses, q=0 the negative-weight ones."""
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
-    if q == 1:
-        return [c for c in knowledge.clauses if c.weight > 0]
-    return [c for c in knowledge.clauses if c.weight < 0]
+    weights, counts, lits = knowledge.clauses
+    keep = weights > 0 if q == 1 else weights < 0
+    return WordKnowledge(knowledge.word, ClauseArrays(
+        weights[keep], counts[keep], lits[keep.repeat(counts)]))
 
 
 def _cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,11 +137,11 @@ def _cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, starts + heads, ahead + np.arange(ahead.size)
 
 
-def _clause_error(word: int, weights: np.ndarray, counts: np.ndarray,
-                  lits: np.ndarray, V: int) -> str | None:
+def _clause_error(word: int, clauses: ClauseArrays, V: int) -> str | None:
     """The clause rule, for a record read and an entry to write alike: the
-    message for the first clause of these clause arrays with a zero weight
-    or with literals not strictly increasing in [0, 2V), else None."""
+    message for the first of these clauses with a zero weight or with
+    literals not strictly increasing in [0, 2V), else None."""
+    weights, counts, lits = clauses
     starts = counts.cumsum() - counts
     # unordered[i]: literal i is not above the literal before it in its clause
     unordered = np.zeros(lits.size + 1, dtype=bool)
@@ -137,14 +164,10 @@ def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
     a record. The arrays are checked before they are encoded, so a literal
     too large for its u32 cell is rejected, not wrapped, and so is a weight
     too large for its i32 cell."""
-    weights = [c.weight for c in k.clauses]
-    if weights and not -2**31 <= min(weights) <= max(weights) < 2**31:
+    weights, counts, lits = k.clauses
+    if weights.size and not -2**31 <= weights.min() <= weights.max() < 2**31:
         raise ValueError(f"word {k.word}: clause weight outside the i32 range")
-    weights = np.array(weights, dtype="<i4")
-    counts = np.array([len(c.literals) for c in k.clauses], dtype=np.int64)
-    lits = np.fromiter(chain.from_iterable(c.literals for c in k.clauses),
-                       dtype=np.int64, count=int(counts.sum()))
-    err = _clause_error(k.word, weights, counts, lits, V)
+    err = _clause_error(k.word, k.clauses, V)
     if err:
         raise ValueError(err)
     if k.word != word:
@@ -155,7 +178,7 @@ def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
     deltas[first] = lits[first]  # a clause's first literal is stored absolute
     cells = np.empty(1 + 2 * counts.size + lits.size, dtype="<u4")
     cells[0] = counts.size
-    cells[weight_at] = weights.view("<u4")
+    cells[weight_at] = weights.astype("<i4").view("<u4")
     cells[weight_at + 1] = counts
     cells[literal_at] = deltas
     msg_bytes = (msg or "").encode("utf-8")
@@ -169,7 +192,7 @@ def as_entry(word: int, result: WordKnowledge | ValueError
     """A word's training result as its store entry and failure message:
     a failure becomes an empty entry plus the error's text."""
     if isinstance(result, ValueError):
-        return WordKnowledge(word=word, clauses=()), str(result)
+        return WordKnowledge(word, NO_CLAUSES), str(result)
     return result, None
 
 
@@ -197,19 +220,9 @@ def save(store: KnowledgeStore, path) -> None:
                   + [records[word] for word in sorted(records)])
 
 
-class _Record(NamedTuple):
-    word: int
-    start: int  # offset of the record's record_len
-    end: int    # offset just past the record
-    msg: str | None
-    weights: np.ndarray  # the record's clause arrays
-    counts: np.ndarray
-    lits: np.ndarray
-
-
-def _walk(data: bytes, vocab: Vocabulary) -> Iterator[_Record]:
-    """Check a whole store against vocab, yielding each record with its
-    clause arrays once checked; raises ValueError naming the first fault."""
+def _walk(data: bytes, vocab: Vocabulary) -> Iterator[tuple]:
+    """Check a store against vocab, yielding each record's (start, end,
+    message, entry) once checked; raises ValueError naming the first fault."""
     size = len(data)
     last_good = None  # word of the last record checked whole
 
@@ -241,12 +254,10 @@ def _walk(data: bytes, vocab: Vocabulary) -> Iterator[_Record]:
             pos += 4
             counts = []
             for _ in range(clause_count):
-                (n,) = _U32.unpack_from(data, pos + 4)
-                counts.append(n)
-                pos += 8
-                if pos + 4 * n > size:
-                    raise truncated(pos)
-                pos += 4 * n
+                counts.append(_U32.unpack_from(data, pos + 4)[0])
+                pos += 8 + 4 * counts[-1]
+                if pos > size:  # cut in the literals
+                    raise truncated(pos - 4 * counts[-1])
         except struct.error:
             raise truncated(pos) from None
         if pos != start + 4 + record_len:
@@ -259,12 +270,12 @@ def _walk(data: bytes, vocab: Vocabulary) -> Iterator[_Record]:
         starts, weight_at, literal_at = _cells(counts)
         cells = np.frombuffer(data, dtype="<u4", count=(pos - body) // 4,
                               offset=body)
-        weights = cells[weight_at].view("<i4")
         sums = np.zeros(literal_at.size + 1, dtype=np.int64)
         # cells may be unaligned; gathering from an aligned copy is faster
         cells.astype(np.int64)[literal_at].cumsum(out=sums[1:])
-        lits = sums[1:] - sums[starts].repeat(counts)
-        err = _clause_error(word, weights, counts, lits, V)
+        clauses = ClauseArrays(cells[weight_at].view("<i4").astype(np.int64),
+                               counts, sums[1:] - sums[starts].repeat(counts))
+        err = _clause_error(word, clauses, V)
         if err:
             raise ValueError(err)
         if word >= V:
@@ -278,8 +289,7 @@ def _walk(data: bytes, vocab: Vocabulary) -> Iterator[_Record]:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} at byte "
                 f"{start} is out of order (last good word index: {last_good})")
-        yield _Record(word, start, pos, msg if flag else None,
-                      weights, counts, lits)
+        yield start, pos, msg if flag else None, WordKnowledge(word, clauses)
         last_good = word
     if pos != size:
         raise ValueError(
@@ -292,13 +302,10 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
     with open(path, "rb") as fh:
         data = fh.read()
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
-    for r in _walk(data, vocab):
-        lits = iter(r.lits.tolist())
-        store.entries[r.word] = WordKnowledge(word=r.word, clauses=tuple(
-            Clause(literals=tuple(islice(lits, n)), weight=w)
-            for w, n in zip(r.weights.tolist(), r.counts.tolist())))
-        if r.msg is not None:
-            store.failures[r.word] = r.msg
+    for _, _, msg, k in _walk(data, vocab):
+        store.entries[k.word] = k
+        if msg is not None:
+            store.failures[k.word] = msg
     return store
 
 
@@ -313,7 +320,7 @@ def replace_word(path, vocab: Vocabulary, word: int,
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    spans = [(r.word, r.start, r.end) for r in _walk(data, vocab)]
+    spans = [(k.word, start, end) for start, end, _, k in _walk(data, vocab)]
     if not 0 <= word < vocab.size:
         raise ValueError(f"word index {word} out of range")
     record = _pack_record(word, *as_entry(word, train()), vocab.size)
@@ -330,14 +337,14 @@ def replace_word(path, vocab: Vocabulary, word: int,
 def export_text(store: KnowledgeStore, vocab: Vocabulary, path) -> None:
     """Human-readable dump: per word, one clause per line as
     "literal AND literal AND ¬literal @weight"."""
-    V = store.V
+    names = [*vocab.words, *("¬" + w for w in vocab.words)]
     with open(path, "w", encoding="utf-8") as fh:
         for word in sorted(store.entries):
             fh.write(f"= {vocab.words[word]}\n")
             if word in store.failures:
                 fh.write(f"  (training failed: {store.failures[word]})\n")
-            for c in store.entries[word].clauses:
-                terms = [vocab.words[l] if l < V else "¬" + vocab.words[l - V]
-                         for l in c.literals]
-                body = " AND ".join(terms) if terms else "(empty)"
-                fh.write(f"  {body} @{c.weight:+d}\n")
+            weights, counts, lits = store.entries[word].clauses
+            clauses = np.split(lits, counts.cumsum()[:-1])
+            for w, clause in zip(weights.tolist(), clauses):
+                body = " AND ".join(names[l] for l in clause.tolist())
+                fh.write(f"  {body or '(empty)'} @{w:+d}\n")

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import Vocabulary
 from .cotm import ClauseBank, init_bank, update
-from .knowledge import Clause, KnowledgeStore, filter_by_polarity
+from .knowledge import NO_CLAUSES, KnowledgeStore, filter_by_polarity
 from .phase1 import Phase1Config
 
 
@@ -72,15 +71,11 @@ def _polarity(store: KnowledgeStore, q: int) -> _Polarity:
     V = store.V
     per_word = np.zeros(max(V, max(store.entries, default=-1) + 1),
                         dtype=np.int64)
-    clauses: list[Clause] = []
-    for w in sorted(store.entries):
-        found = filter_by_polarity(store.entries[w], q)
-        per_word[w] = len(found)
-        clauses += found
-    lit_ptr = _csr(np.fromiter(map(len, (c.literals for c in clauses)),
-                               dtype=np.int64, count=len(clauses)))
-    literals = np.fromiter(chain.from_iterable(c.literals for c in clauses),
-                           dtype=np.int64, count=int(lit_ptr[-1]))
+    words = sorted(store.entries)
+    found = [filter_by_polarity(store.entries[w], q).clauses for w in words]
+    per_word[words] = [f.weights.size for f in found]
+    _, counts, literals = map(np.concatenate, zip(NO_CLAUSES, *found))
+    lit_ptr = _csr(counts)
     # an original feature is expandable if its own q-list is non-empty
     expandable = (literals >= 0) & (literals < V)
     expandable[expandable] = per_word[literals[expandable]] > 0

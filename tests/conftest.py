@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from tmembed.corpus import Vocabulary, vectorize
-from tmembed.knowledge import Clause, KnowledgeStore, WordKnowledge
+from tmembed.knowledge import KnowledgeStore, WordKnowledge
 
 
 @pytest.fixture
@@ -23,10 +23,7 @@ def make_store(entry_spec, V):
     vocab = Vocabulary.from_words([f"w{i}" for i in range(V)])
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=V)
     for word, clauses in entry_spec.items():
-        store.entries[word] = WordKnowledge(
-            word=word,
-            clauses=tuple(Clause(literals=tuple(lits), weight=w)
-                          for lits, w in clauses))
+        store.entries[word] = WordKnowledge(word=word, clauses=clauses)
     return vocab, store
 
 

@@ -6,10 +6,50 @@ vector tricks) so it cannot share a bug with the code under test.
 
 import struct
 from collections import Counter
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from tmembed.knowledge import KnowledgeStore, filter_by_polarity
+from tmembed.knowledge import KnowledgeStore
+
+
+# Per-word knowledge as it was before the clause arrays: one Clause tuple per
+# clause. clause_tuples is how load turned the record arrays into tuples, and
+# the one pairs view through which the tuple oracles below read a
+# WordKnowledge; from_bank and filter_by_polarity are the library's, verbatim
+# but for taking and returning Clause tuples instead of a WordKnowledge.
+
+class Clause(NamedTuple):
+    """Included-literal indices (strictly increasing, < 2V) and a nonzero signed weight."""
+
+    literals: tuple[int, ...]
+    weight: int
+
+
+def clause_tuples(k) -> tuple[Clause, ...]:
+    """k's clause arrays as one Clause per clause, in order."""
+    lits = iter(k.clauses.literals.tolist())
+    return tuple(Clause(literals=tuple(islice(lits, n)), weight=w)
+                 for w, n in zip(k.clauses.weights.tolist(),
+                                 k.clauses.counts.tolist()))
+
+
+def from_bank(bank, word, output=0) -> tuple[Clause, ...]:
+    """Extract every nonzero-weight clause of the given output as knowledge."""
+    included = bank.included()
+    return tuple(
+        Clause(literals=tuple(included[c].nonzero()[0].tolist()), weight=w)
+        for c, w in enumerate(bank.weights[:, output].tolist()) if w)
+
+
+def filter_by_polarity(clauses, q: int) -> list[Clause]:
+    """q=1 selects positive-weight clauses, q=0 negative-weight ones."""
+    if q not in (0, 1):
+        raise ValueError(f"target bit must be 0 or 1, got {q!r}")
+    if q == 1:
+        return [c for c in clauses if c.weight > 0]
+    return [c for c in clauses if c.weight < 0]
 
 
 def df_ranking(raw_docs):
@@ -138,8 +178,7 @@ def load_store_fieldwise(path, vocab):
     knowledge.load gave for the first fault it met.
     """
     import struct
-    from tmembed.knowledge import (MAGIC, VERSION, Clause, KnowledgeStore,
-                                   WordKnowledge)
+    from tmembed.knowledge import MAGIC, VERSION, WordKnowledge
 
     with open(path, "rb") as fh:
         data = fh.read()
@@ -208,7 +247,7 @@ def load_store_fieldwise(path, vocab):
 
 def _validate_entry(word, k, V):
     """What `save` checks of an entry; `_walk` checks the same of a record."""
-    for c in k.clauses:
+    for c in clause_tuples(k):
         if c.weight == 0:
             raise ValueError(f"word {k.word}: clause with zero weight")
         prev = -1
@@ -223,11 +262,12 @@ def _validate_entry(word, k, V):
 
 
 def _pack_record(k, msg):
+    clauses = clause_tuples(k)
     msg_bytes = (msg or "").encode("utf-8")
     parts = [struct.pack("<IBH", k.word, 1 if msg is not None else 0,
                          len(msg_bytes)), msg_bytes,
-             struct.pack("<I", len(k.clauses))]
-    for c in k.clauses:
+             struct.pack("<I", len(clauses))]
+    for c in clauses:
         parts.append(struct.pack("<iI", c.weight, len(c.literals)))
         prev = 0
         deltas = []
@@ -282,7 +322,7 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
     entry = store.entries.get(word)
     if entry is None:
         raise ValueError(f"word {word} has no knowledge entry")
-    filtered = filter_by_polarity(entry, q)
+    filtered = filter_by_polarity(clause_tuples(entry), q)
     if not filtered:
         raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
     V = store.V
@@ -296,7 +336,7 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
             sub_entry = store.entries.get(lit)
             if sub_entry is None:
                 continue
-            sub = filter_by_polarity(sub_entry, q)
+            sub = filter_by_polarity(clause_tuples(sub_entry), q)
             if not sub:
                 continue
             m = min(a, len(sub))

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from tmembed import cotm, knowledge, phase1
 from tmembed.corpus import Vocabulary
 from conftest import make_store
-from oracles import load_store_fieldwise, save_store_loopwise, _validate_entry
+import oracles
+from oracles import (Clause, clause_tuples, load_store_fieldwise,
+                     save_store_loopwise, _validate_entry)
 
 
 def test_from_bank_extracts_nonzero_weight_clauses():
@@ -18,19 +21,146 @@ def test_from_bank_extracts_nonzero_weight_clauses():
     bank.weights[2, 0] = -1  # empty clause, nonzero weight: kept
     k = knowledge.from_bank(bank, word=5)
     assert k.word == 5
-    assert k.clauses == (knowledge.Clause((1, 6), 2), knowledge.Clause((), -1))
+    assert k == knowledge.WordKnowledge(5, [((1, 6), 2), ((), -1)])
+
+
+def test_from_bank_rejects_an_output_out_of_range():
+    bank = cotm.init_bank(3, 2, 4, N=8, T=10, s=3.0)
+    for output in (-1, 2):
+        with pytest.raises(ValueError, match=f"^output id {output} out of range$"):
+            knowledge.from_bank(bank, 0, output=output)
+
+
+def random_bank(rng):
+    """A bank with several outputs, zero weights, an empty clause and a
+    clause that includes every literal, each drawn at random."""
+    C, O, V, N = (int(rng.integers(1, 9)), int(rng.integers(1, 4)),
+                  int(rng.integers(1, 7)), int(rng.integers(1, 9)))
+    bank = cotm.init_bank(C, O, V, N=N, T=10, s=3.0)
+    bank.states[:] = rng.integers(1, 2 * N + 1, size=bank.states.shape)
+    bank.weights[:] = rng.integers(-3, 4, size=bank.weights.shape)
+    if rng.random() < 0.5:
+        bank.states[int(rng.integers(C))] = N  # empty
+    if rng.random() < 0.5:
+        bank.states[int(rng.integers(C))] = N + 1  # every literal
+    return bank
+
+
+def assert_int64_arrays(k):
+    assert all(a.dtype == np.int64 and a.ndim == 1 for a in k.clauses)
+
+
+def test_from_bank_and_filter_match_the_tuple_oracles_on_random_banks():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(300):
+        bank = random_bank(rng)
+        included = bank.included()
+        if (~included.any(1)).any():
+            seen.add("empty")
+        if included.all(1).any():
+            seen.add("full")
+        for output in range(bank.num_outputs):
+            k = knowledge.from_bank(bank, 7, output)
+            assert k.word == 7
+            assert_int64_arrays(k)
+            want = oracles.from_bank(bank, 7, output)
+            assert clause_tuples(k) == want
+            for q in (0, 1):
+                cut = knowledge.filter_by_polarity(k, q)
+                assert cut.word == 7
+                assert_int64_arrays(cut)
+                assert clause_tuples(cut) == tuple(
+                    oracles.filter_by_polarity(want, q))
+    assert {"empty", "full"} <= seen
+
+
+def test_filter_matches_the_tuple_oracle_on_random_stores():
+    # each entry, and a copy with some weights zeroed (neither q keeps those)
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        _, store = random_store(rng, V=int(rng.integers(1, 8)))
+        for entry in store.entries.values():
+            zeroed = knowledge.WordKnowledge(entry.word, [
+                (c.literals, c.weight * int(rng.integers(2)))
+                for c in clause_tuples(entry)])
+            for k in (entry, zeroed):
+                for q in (0, 1):
+                    cut = knowledge.filter_by_polarity(k, q)
+                    assert_int64_arrays(cut)
+                    assert clause_tuples(cut) == tuple(
+                        oracles.filter_by_polarity(clause_tuples(k), q))
+            for q in (2, -1):
+                with pytest.raises(ValueError) as want:
+                    oracles.filter_by_polarity(clause_tuples(entry), q)
+                with pytest.raises(ValueError, match=f"^{want.value}$"):
+                    knowledge.filter_by_polarity(entry, q)
+
+
+def test_load_matches_the_tuple_reader_on_random_stores(tmp_path):
+    # the clause arrays load keeps are the fieldwise reader's Clause tuples
+    rng = np.random.default_rng(16)
+    path = tmp_path / "store.tmk"
+    for _ in range(40):
+        vocab, store = random_store(rng, V=int(rng.integers(1, 8)))
+        knowledge.save(store, path)
+        got, want = knowledge.load(path, vocab), load_store_fieldwise(path, vocab)
+        assert {w: clause_tuples(k) for w, k in got.entries.items()} == {
+            w: clause_tuples(k) for w, k in want.entries.items()}
+        assert {w: clause_tuples(k) for w, k in store.entries.items()} == {
+            w: clause_tuples(k) for w, k in got.entries.items()}
+        for k in got.entries.values():
+            assert_int64_arrays(k)
+
+
+def test_an_empty_entry_is_built_saved_and_loaded(tmp_path):
+    vocab = Vocabulary.from_words(["w0", "w1"])
+    store = knowledge.KnowledgeStore(vocab_hash=vocab.digest(), V=2)
+    store.entries[1] = knowledge.WordKnowledge(word=1, clauses=())
+    assert_int64_arrays(store.entries[1])
+    assert store.entries[1].clauses.weights.size == 0
+    knowledge.save(store, tmp_path / "new.tmk")
+    save_store_loopwise(store, tmp_path / "reference.tmk")
+    assert (tmp_path / "new.tmk").read_bytes() == (
+        tmp_path / "reference.tmk").read_bytes()
+    loaded = knowledge.load(tmp_path / "new.tmk", vocab)
+    assert loaded.entries == store.entries
+
+
+def test_entries_compare_by_value():
+    k = knowledge.WordKnowledge(3, [((0, 2), 1), ((1,), -2)])
+    same = knowledge.WordKnowledge(3, [([0, 2], 1), (np.array([1]), -2)])
+    assert (k == same) is True and (k != same) is False
+    for other in (knowledge.WordKnowledge(3, [((0, 3), 1), ((1,), -2)]),
+                  knowledge.WordKnowledge(3, [((0, 2), 1), ((1,), -1)]),
+                  knowledge.WordKnowledge(3, [((0,), 1), ((2, 1), -2)]),
+                  knowledge.WordKnowledge(3, [((0, 2), 1)]),
+                  knowledge.WordKnowledge(4, [((0, 2), 1), ((1,), -2)])):
+        assert (k == other) is False and (k != other) is True
+    assert k != clause_tuples(k)
+    assert {1: k, 2: knowledge.WordKnowledge(2, ())} == {
+        1: same, 2: knowledge.WordKnowledge(2, [])}
+
+
+def test_entries_pickle_by_value():
+    bank = cotm.init_bank(3, 1, 4, N=8, T=10, s=3.0)
+    bank.states[0, [1, 6]] = 9
+    bank.weights[:, 0] = [2, -1, 0]
+    for k in (knowledge.from_bank(bank, 5), knowledge.WordKnowledge(1, ())):
+        back = pickle.loads(pickle.dumps(k))
+        assert back == k
+        assert_int64_arrays(back)
 
 
 def test_filter_by_polarity():
-    k = knowledge.WordKnowledge(0, (
-        knowledge.Clause((0,), 3),
-        knowledge.Clause((1,), -2),
-        knowledge.Clause((2,), 1),
-    ))
-    assert knowledge.filter_by_polarity(k, 1) == [k.clauses[0], k.clauses[2]]
-    assert knowledge.filter_by_polarity(k, 0) == [k.clauses[1]]
-    all_pos = knowledge.WordKnowledge(0, (knowledge.Clause((0,), 5),))
-    assert knowledge.filter_by_polarity(all_pos, 0) == []
+    k = knowledge.WordKnowledge(0, [((0,), 3), ((1,), -2), ((2,), 1)])
+    assert knowledge.filter_by_polarity(k, 1) == knowledge.WordKnowledge(
+        0, [((0,), 3), ((2,), 1)])
+    assert knowledge.filter_by_polarity(k, 0) == knowledge.WordKnowledge(
+        0, [((1,), -2)])
+    all_pos = knowledge.WordKnowledge(0, [((0,), 5)])
+    assert knowledge.filter_by_polarity(all_pos, 0) == knowledge.WordKnowledge(
+        0, [])
     with pytest.raises(ValueError, match="target bit"):
         knowledge.filter_by_polarity(k, 2)
 
@@ -40,11 +170,10 @@ def test_polarity_filters_partition_clauses():
     for _ in range(30):
         n = int(rng.integers(0, 10))
         weights = rng.choice([-3, -1, 1, 2, 7], size=n)
-        clauses = tuple(knowledge.Clause((int(i),), int(w))
-                        for i, w in enumerate(weights))
+        clauses = tuple(Clause((i,), int(w)) for i, w in enumerate(weights))
         k = knowledge.WordKnowledge(0, clauses)
-        pos = knowledge.filter_by_polarity(k, 1)
-        neg = knowledge.filter_by_polarity(k, 0)
+        pos = clause_tuples(knowledge.filter_by_polarity(k, 1))
+        neg = clause_tuples(knowledge.filter_by_polarity(k, 0))
         assert len(pos) + len(neg) == len(clauses)
         assert set(pos).isdisjoint(neg)
         assert set(pos) | set(neg) == set(clauses)
@@ -134,14 +263,16 @@ def test_save_rejects_invalid_knowledge(tmp_path):
 def test_a_weight_outside_i32_is_rejected_and_writes_nothing(tmp_path, weight):
     vocab, path, data = saved_three_word_store(tmp_path)
     store = three_word_store()
-    k = knowledge.WordKnowledge(1, (knowledge.Clause((0,), 1),
-                                    knowledge.Clause((1,), weight)))
-    store.entries[1] = k
+
+    def entry():  # a weight outside int64 is refused as the entry is built
+        return knowledge.WordKnowledge(1, [((0,), 1), ((1,), weight)])
+
     message = "^word 1: clause weight outside the i32 range$"
     with pytest.raises(ValueError, match=message):
+        store.entries[1] = entry()
         knowledge.save(store, path)
     with pytest.raises(ValueError, match=message):
-        knowledge.replace_word(path, vocab, 1, lambda: k)
+        knowledge.replace_word(path, vocab, 1, entry)
     assert path.read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
 
@@ -268,8 +399,8 @@ def random_knowledge(rng, word, V, sign=None):
         # small weights and ones near the i32 limits
         weight = int(rng.integers(1, 4) if rng.random() < 0.5 else rng.integers(1, 2**31))
         weight *= sign or (-1 if rng.random() < 0.5 else 1)
-        clauses.append(knowledge.Clause(tuple(int(l) for l in lits), weight))
-    return knowledge.WordKnowledge(word=word, clauses=tuple(clauses))
+        clauses.append((lits.tolist(), weight))
+    return knowledge.WordKnowledge(word=word, clauses=clauses)
 
 
 def random_store(rng, V, absent=()):
@@ -327,7 +458,7 @@ def test_replace_word_writes_what_load_record_save_writes(tmp_path, case, seed):
 
 def test_replace_word_rejects_invalid_knowledge_and_keeps_the_file(tmp_path):
     vocab, path, data = saved_three_word_store(tmp_path)
-    bad = knowledge.WordKnowledge(1, (knowledge.Clause((3, 2), 1),))
+    bad = knowledge.WordKnowledge(1, [((3, 2), 1)])
     with pytest.raises(ValueError, match="strictly increasing"):
         knowledge.replace_word(path, vocab, 1, lambda: bad)
     other = knowledge.WordKnowledge(0, ())
@@ -363,7 +494,8 @@ def test_load_checks_the_largest_literal_against_2V(tmp_path):
     last_delta = end - 4
     assert struct.unpack_from("<I", data, last_delta) == (2,)
     path.write_bytes(data[:last_delta] + struct.pack("<I", 3) + data[end:])
-    assert knowledge.load(path, vocab).entries[1].clauses == (knowledge.Clause((2, 5), 1),)
+    assert knowledge.load(path, vocab).entries[1] == knowledge.WordKnowledge(
+        1, [((2, 5), 1)])
     path.write_bytes(data[:last_delta] + struct.pack("<I", 4) + data[end:])
     with pytest.raises(ValueError, match=r"^word 1: literal indices must be strictly increasing and < 6$"):
         knowledge.load(path, vocab)
@@ -377,8 +509,7 @@ def edge_store():
     for w, clauses in ((2, [((0, 7), 2**31 - 1), ((), -(2**31 - 1)),
                             ((1, 2, 3, 4, 5, 6), -1)]),
                        (0, []), (3, [((7,), 1)]), (1, [])):
-        store.entries[w] = knowledge.WordKnowledge(
-            w, tuple(knowledge.Clause(lits, weight) for lits, weight in clauses))
+        store.entries[w] = knowledge.WordKnowledge(w, clauses)
     store.failures[1] = "keine Dokumente für „w1“ ✗"
     return store
 
@@ -403,28 +534,24 @@ def test_save_writes_the_reference_writers_bytes(tmp_path, case):
         tmp_path / "reference.tmk").read_bytes()
 
 
-def clauses(*pairs):
-    return tuple(knowledge.Clause(lits, weight) for lits, weight in pairs)
-
-
 INVALID_ENTRIES = {  # name: (entry key, knowledge) in a store with V=3
-    "zero_weight": (1, knowledge.WordKnowledge(1, clauses(((0, 2), 0)))),
-    "decreasing": (1, knowledge.WordKnowledge(1, clauses(((3, 2), 1)))),
-    "repeated": (1, knowledge.WordKnowledge(1, clauses(((2, 2), 1)))),
-    "negative": (1, knowledge.WordKnowledge(1, clauses(((-1, 2), 1)))),
-    "literal_2V": (1, knowledge.WordKnowledge(1, clauses(((1, 6), 1)))),
-    "literal_2_32": (1, knowledge.WordKnowledge(1, clauses(((1, 2**32 + 5), 1)))),
-    "after_a_valid_clause": (1, knowledge.WordKnowledge(1, clauses(
-        ((0, 1), 2), ((), -1), ((4, 4), -1)))),
-    "zero_weight_after_bad_literals": (1, knowledge.WordKnowledge(1, clauses(
-        ((3, 2), 1), ((0,), 0)))),
-    "bad_literals_after_zero_weight": (1, knowledge.WordKnowledge(1, clauses(
-        ((0,), 0), ((3, 2), 1)))),
-    "zero_weight_and_bad_literals": (1, knowledge.WordKnowledge(1, clauses(
-        ((3, 2), 0),))),
-    "key_differs_from_word": (1, knowledge.WordKnowledge(0, clauses(((0,), 1)))),
-    "key_differs_and_bad_literals": (1, knowledge.WordKnowledge(0, clauses(
-        ((5, 0), 1)))),
+    "zero_weight": (1, knowledge.WordKnowledge(1, [((0, 2), 0)])),
+    "decreasing": (1, knowledge.WordKnowledge(1, [((3, 2), 1)])),
+    "repeated": (1, knowledge.WordKnowledge(1, [((2, 2), 1)])),
+    "negative": (1, knowledge.WordKnowledge(1, [((-1, 2), 1)])),
+    "literal_2V": (1, knowledge.WordKnowledge(1, [((1, 6), 1)])),
+    "literal_2_32": (1, knowledge.WordKnowledge(1, [((1, 2**32 + 5), 1)])),
+    "after_a_valid_clause": (1, knowledge.WordKnowledge(1, [
+        ((0, 1), 2), ((), -1), ((4, 4), -1)])),
+    "zero_weight_after_bad_literals": (1, knowledge.WordKnowledge(1, [
+        ((3, 2), 1), ((0,), 0)])),
+    "bad_literals_after_zero_weight": (1, knowledge.WordKnowledge(1, [
+        ((0,), 0), ((3, 2), 1)])),
+    "zero_weight_and_bad_literals": (1, knowledge.WordKnowledge(1, [
+        ((3, 2), 0)])),
+    "key_differs_from_word": (1, knowledge.WordKnowledge(0, [((0,), 1)])),
+    "key_differs_and_bad_literals": (1, knowledge.WordKnowledge(0, [
+        ((5, 0), 1)])),
 }
 
 
@@ -451,8 +578,8 @@ def test_invalid_entries_give_the_reference_message_and_write_nothing(
 
 def test_save_reports_the_first_invalid_entry_in_entry_order(tmp_path):
     store = three_word_store()
-    store.entries = {2: knowledge.WordKnowledge(2, clauses(((1,), 0))),
-                     0: knowledge.WordKnowledge(0, clauses(((2, 1), 1))),
+    store.entries = {2: knowledge.WordKnowledge(2, [((1,), 0)]),
+                     0: knowledge.WordKnowledge(0, [((2, 1), 1)]),
                      1: store.entries[1]}
     with pytest.raises(ValueError) as want:
         save_store_loopwise(store, tmp_path / "reference.tmk")

@@ -6,9 +6,9 @@ import pytest
 
 from tmembed import knowledge, phase1
 from tmembed.corpus import Vocabulary, vectorize
-from tmembed.knowledge import filter_by_polarity
+from tmembed.knowledge import WordKnowledge, filter_by_polarity
 import oracles
-from oracles import eligible_documents
+from oracles import clause_tuples, eligible_documents
 
 
 DESK = dict(r=150, a=5, epochs=3, num_clauses=20, T=20, s=3.0, N=32)
@@ -154,7 +154,7 @@ def test_train_word_learns_cooccurrence():
     _, ds = cooccurrence_corpus()
     cfg = phase1.Phase1Config(seed=0, **DESK)
     k = phase1.train_word(ds, 0, cfg)
-    pos = filter_by_polarity(k, 1)
+    pos = clause_tuples(filter_by_polarity(k, 1))
     assert pos
     pattern = {0, 1, 6, 7}
     for c in pos:
@@ -167,9 +167,8 @@ def test_train_word_respects_clause_budget():
     _, ds = cooccurrence_corpus()
     cfg = phase1.Phase1Config(seed=1, **DESK)
     k = phase1.train_word(ds, 0, cfg)
-    assert len(k.clauses) <= cfg.num_clauses
-    for c in k.clauses:
-        assert c.weight != 0
+    assert k.clauses.weights.size <= cfg.num_clauses
+    assert k.clauses.weights.all()
 
 
 def test_train_word_determinism():
@@ -197,7 +196,7 @@ def test_train_all_covers_vocabulary_and_records_failures():
     store = phase1.train_all(ds, vocab, cfg)
     assert set(store.entries) == {0, 1, 2}
     assert 0 in store.failures
-    assert store.entries[0].clauses == ()
+    assert store.entries[0] == WordKnowledge(0, ())
     assert 1 not in store.failures and 2 not in store.failures
 
 

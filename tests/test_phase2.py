@@ -278,7 +278,7 @@ def test_expansion_law_matches_the_filtering_oracle_on_random_stores(seed):
     rng = np.random.default_rng([33, seed])
     store = random_expansion_store(rng)
     cases = [(w, q) for w, k in store.entries.items() for q in (0, 1)
-             if filter_by_polarity(k, q)]
+             if filter_by_polarity(k, q).clauses.weights.size]
     word, q = cases[int(rng.integers(len(cases)))]
     a = int(rng.integers(1, 4))
     mine = active_sets(phase2.build_x_phase2, store, word, q, a,
@@ -315,7 +315,7 @@ def test_expansion_matches_the_filtering_oracle(shared_index):
                 continue
             x = phase2.build_x_phase2(store, word, q, a, mine_rng, *index)
             assert x.dtype == expected.dtype and x.shape == expected.shape
-            n = len(filter_by_polarity(store.entries[word], q))
+            n = filter_by_polarity(store.entries[word], q).clauses.weights.size
             seen["a < n" if a < n else "a >= n"] += 1
             key = (si, query)
             for sample, build, r, extra in (

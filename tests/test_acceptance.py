@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -287,15 +288,20 @@ def run_cli_pipeline(tmp, corpus, targets, bench_lines, outdir):
     return paths
 
 
+def c10_inputs(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(["sun moon star"] * 10 +
+                                ["car road fuel"] * 10) + "\n")
+    targets = tmp_path / "targets.txt"
+    targets.write_text("sun\nmoon\ncar\n")
+    bench = "sun\tmoon\t9.0\nsun\tcar\t1.0\nmoon\tcar\t2.0\n"
+    return corpus, targets, bench
+
+
 def test_c10_every_stage_is_bit_deterministic(tmp_path):
     with criterion(10, "identical seeds give byte-identical outputs for "
                        "every pipeline stage"):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("\n".join(["sun moon star"] * 10 +
-                                    ["car road fuel"] * 10) + "\n")
-        targets = tmp_path / "targets.txt"
-        targets.write_text("sun\nmoon\ncar\n")
-        bench = "sun\tmoon\t9.0\nsun\tcar\t1.0\nmoon\tcar\t2.0\n"
+        corpus, targets, bench = c10_inputs(tmp_path)
         first = run_cli_pipeline(tmp_path, corpus, targets, bench,
                                  tmp_path / "run1")
         second = run_cli_pipeline(tmp_path, corpus, targets, bench,
@@ -303,3 +309,23 @@ def test_c10_every_stage_is_bit_deterministic(tmp_path):
         assert set(first) == set(second)
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
+
+
+# sha256 of the augment and classify outputs of C10's chain. The two
+# commands' input building must not move them.
+PINNED_C10_SHA256 = {
+    "augmented.txt":
+        "2fe15796f4c32fc6060623cfdb470100b1f9cdc69ab7a1abea80714cdf1a053d",
+    "augmented.txt.labels":
+        "35243f6df2d5a76cfd07cf35bea9d76424b48bf86d13d662f5fd493a5229e3e9",
+    "classify.txt":
+        "3b2e454a90d2700a7721317d70a8ee573290a0e24753f8bc73f566985d8fb89a",
+}
+
+
+def test_c10_augment_and_classify_outputs_are_pinned(tmp_path):
+    corpus, targets, bench = c10_inputs(tmp_path)
+    outputs = run_cli_pipeline(tmp_path, corpus, targets, bench,
+                               tmp_path / "run")
+    assert {name: hashlib.sha256(outputs[name]).hexdigest()
+            for name in PINNED_C10_SHA256} == PINNED_C10_SHA256

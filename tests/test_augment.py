@@ -244,6 +244,44 @@ def test_degenerate_bank_is_constant():
     assert aug.classify(bank, aug.make_document(["a", "b"], vocab, 0)) == 0
 
 
+# sha256 of the states and weights train_classifier returns for
+# pinned_classifier_inputs under PINNED_CLS, and the accuracy that bank scores
+# on the pinned test documents. Any change to how documents become inputs,
+# to the example order or to the draws moves them.
+PINNED_CLS = aug.ClassifierConfig(num_clauses=10, T=10, s=3.0, N=16, epochs=2,
+                                  seed=4)
+PINNED_STATES_SHA256 = \
+    "c3776939372352f6ad041a3b03221b6ab154d91f56e1976c0acc0ec1a0a091a7"
+PINNED_WEIGHTS_SHA256 = \
+    "4b12422b19701a54d3c1420861d85fd9e2b23dfc571e7e03a39565bd439e4da4"
+PINNED_ACCURACY = (35 / 43, {"positive_correct": 17, "positive_total": 22,
+                             "negative_correct": 18, "negative_total": 21})
+
+
+def pinned_classifier_inputs():
+    # the sentiment fixture plus empty and out-of-vocabulary-only documents
+    vocab, train_raw, train_labels, test_raw, test_labels = sentiment_fixture()
+    train_raw, train_labels = train_raw + [[], ["zzz"]], train_labels + [0, 1]
+    test_raw = test_raw + [[], ["zzz", "qqq"], ["good", "zzz"]]
+    test_labels = test_labels + [1, 0, 1]
+    train = [aug.make_document(t, vocab, l)
+             for t, l in zip(train_raw, train_labels)]
+    test = [aug.make_document(t, vocab, l)
+            for t, l in zip(test_raw, test_labels)]
+    return vocab, train, test
+
+
+def test_classifier_bank_and_accuracy_are_pinned():
+    vocab, train, test = pinned_classifier_inputs()
+    bank = aug.train_classifier(train, vocab.size, PINNED_CLS)
+    assert (bank.states.dtype, bank.weights.dtype) == (np.int32, np.int32)
+    assert hashlib.sha256(bank.states.tobytes()).hexdigest() == \
+        PINNED_STATES_SHA256
+    assert hashlib.sha256(bank.weights.tobytes()).hexdigest() == \
+        PINNED_WEIGHTS_SHA256
+    assert aug.accuracy(bank, test) == PINNED_ACCURACY
+
+
 def test_make_document_validates_label():
     vocab = Vocabulary.from_words(["a"])
     with pytest.raises(ValueError, match="label"):

@@ -7,8 +7,8 @@ learned conjunctive clauses back out.
 
 import numpy as np
 
-from tmembed.corpus import Vocabulary
-from tmembed.cotm import init_bank, negation_closed_vector, predict, update, vote_sum
+from tmembed.corpus import Vocabulary, vectorize
+from tmembed.cotm import init_bank, predict, update, vote_sum
 from tmembed.knowledge import from_bank
 
 vocab = Vocabulary.from_words(["apple", "pear", "iron", "copper"])
@@ -17,25 +17,22 @@ V = vocab.size
 rng = np.random.default_rng(0)
 bank = init_bank(num_clauses=10, num_outputs=2, V=V, N=32, T=12, s=3.0)
 
-fruit_docs = [["apple"], ["pear"], ["apple", "pear"]]
-metal_docs = [["iron"], ["copper"], ["iron", "copper"]]
+# each document becomes its words plus the negations of every other word
+fruit_docs = vectorize([["apple"], ["pear"], ["apple", "pear"]], vocab)
+metal_docs = vectorize([["iron"], ["copper"], ["iron", "copper"]], vocab)
 
 for _ in range(300):
     for docs, output in ((fruit_docs, 0), (metal_docs, 1)):
-        doc = docs[rng.integers(len(docs))]
-        x = negation_closed_vector([vocab.index_of[t] for t in doc], V)
+        x = docs.vector([rng.integers(docs.num_docs)])
         update(bank, x, output, 1, rng)   # this context supports the output
         update(bank, x, 1 - output, 0, rng)  # and contradicts the other one
 
-probe = negation_closed_vector([vocab.index_of["apple"]], V)
-print("input: apple")
-print("  votes:", [vote_sum(bank, probe, o) for o in range(2)])
-print("  prediction (fruit, metal):", predict(bank, probe))
-
-probe = negation_closed_vector([vocab.index_of["copper"]], V)
-print("input: copper")
-print("  votes:", [vote_sum(bank, probe, o) for o in range(2)])
-print("  prediction (fruit, metal):", predict(bank, probe))
+probes = vectorize([["apple"], ["copper"]], vocab)
+for d, word in enumerate(["apple", "copper"]):
+    probe = probes.vector([d])
+    print("input:", word)
+    print("  votes:", [vote_sum(bank, probe, o) for o in range(2)])
+    print("  prediction (fruit, metal):", predict(bank, probe))
 
 
 def literal_name(l):

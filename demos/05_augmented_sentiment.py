@@ -9,7 +9,7 @@ augmented copies. Every stage is seeded, so reruns reproduce exactly.
 import numpy as np
 
 from tmembed.augment import (AugmentConfig, ClassifierConfig, accuracy,
-                             augment_corpus, make_document, train_classifier)
+                             augment_corpus, train_classifier)
 from tmembed.corpus import Vocabulary, vectorize
 from tmembed.phase1 import Phase1Config, train_all
 from tmembed.phase2 import train_embedding
@@ -41,26 +41,28 @@ rng = np.random.default_rng(7)
 train_raw, train_labels = reviews(80, rng)
 test_raw, test_labels = reviews(60, rng)
 
-store = train_all(vectorize(train_raw, vocab), vocab, Phase1Config(
+train = vectorize(train_raw, vocab)
+store = train_all(train, vocab, Phase1Config(
     r=120, a=5, epochs=2, num_clauses=20, T=20, s=3.0, N=32, seed=0))
 _, emb = train_embedding(store, list(range(vocab.size)), Phase1Config(
     r=120, a=4, epochs=2, num_clauses=20, T=20, s=3.0, N=32, seed=1))
 
-train = [make_document(t, vocab, l) for t, l in zip(train_raw, train_labels)]
-test = [make_document(t, vocab, l) for t, l in zip(test_raw, test_labels)]
-augmented = augment_corpus(train, emb, vocab, AugmentConfig(
+augmented = augment_corpus(train_raw, train_labels, emb, vocab, AugmentConfig(
     replace_fraction=0.15, pool_size=2, seed=2))
 
 print("an augmented positive review:")
-print("  before:", " ".join(train[1].tokens))
-print("  after: ", " ".join(augmented[1].tokens))
+print("  before:", " ".join(train_raw[1]))
+print("  after: ", " ".join(augmented[1]))
 
+# the classifier reads documents as negation-closed presence vectors
 cfg = ClassifierConfig(num_clauses=20, T=20, s=3.0, N=32, epochs=10, seed=3)
-plain = train_classifier(train, vocab.size, cfg)
-boosted = train_classifier(train + augmented, vocab.size, cfg)
+plain = train_classifier(train, train_labels, cfg)
+boosted = train_classifier(vectorize(train_raw + augmented, vocab),
+                           train_labels + train_labels, cfg)
 
-acc_plain, _ = accuracy(plain, test)
-acc_boosted, counts = accuracy(boosted, test)
+test = vectorize(test_raw, vocab)
+acc_plain, _ = accuracy(plain, test, test_labels)
+acc_boosted, counts = accuracy(boosted, test, test_labels)
 print(f"\ntest accuracy without augmentation: {acc_plain:.3f}")
 print(f"test accuracy with augmentation:    {acc_boosted:.3f} "
       f"(delta {acc_boosted - acc_plain:+.3f})")

@@ -1,9 +1,10 @@
 """Embedding-driven data augmentation and the propositional sentiment classifier.
 
-Positive documents have tokens substituted with highly similar words, negative
-documents with dissimilar ones; the label never changes. Classification uses a
-single-output machine over negation-closed presence vectors, so every decision
-is traceable to conjunctive clauses.
+Documents are token lists with a parallel list of 0/1 labels. Positive
+documents have tokens substituted with highly similar words, negative
+documents with dissimilar ones; the label never changes. Classification uses
+a single-output machine over the negation-closed presence vectors of a
+`DocumentSet`, so every decision is traceable to conjunctive clauses.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary
-from .cotm import ClauseBank, init_bank, negation_closed_vector, predict, update
+from .corpus import DocumentSet, Vocabulary
+from .cotm import ClauseBank, init_bank, predict, update
 from .phase2 import EmbeddingMatrix
 
 # Kept deliberately small: only blocks the most frequent function words from
@@ -27,19 +28,16 @@ POSITIVE = 1
 NEGATIVE = 0
 
 
-@dataclass(frozen=True)
-class LabeledDocument:
-    tokens: tuple[str, ...]
-    word_set: frozenset[int]
-    label: int
-
-
-def make_document(tokens, vocab: Vocabulary, label: int) -> LabeledDocument:
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    tokens = tuple(tokens)
-    word_set = frozenset(vocab.index_of[t] for t in tokens if t in vocab.index_of)
-    return LabeledDocument(tokens=tokens, word_set=word_set, label=label)
+def _checked_labels(labels, num_docs: int) -> list[int]:
+    """The labels as a list, one 0/1 label per document."""
+    labels = list(labels)
+    if len(labels) != num_docs:
+        raise ValueError(f"label/document count mismatch: {num_docs} "
+                         f"documents, {len(labels)} labels")
+    for label in labels:
+        if label not in (POSITIVE, NEGATIVE):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -134,48 +132,49 @@ def _substitution_pools(emb: EmbeddingMatrix, vocab: Vocabulary,
     return pools
 
 
-def augment_document(doc: LabeledDocument, emb: EmbeddingMatrix,
+def augment_document(tokens, label: int, emb: EmbeddingMatrix,
                      vocab: Vocabulary, cfg: AugmentConfig,
                      rng: np.random.Generator,
-                     pools: dict[int, list[int]] | None = None
-                     ) -> LabeledDocument:
+                     pools: dict[int, list[int]] | None = None) -> list[str]:
     """Replace ceil(replace_fraction * replaceable) token positions from the
     label's similarity pools; tokens without a usable pool are never selected.
 
     pools maps word index to its pool, as augment_corpus builds them for every
     embedded word of the corpus; without it the document's own are built."""
-    present = [(p, vocab.index_of[t]) for p, t in enumerate(doc.tokens)
+    tokens = list(tokens)
+    present = [(p, vocab.index_of[t]) for p, t in enumerate(tokens)
                if t in vocab.index_of]
     if pools is None:
         embedded = set(emb.words)
-        pools = _substitution_pools(emb, vocab, cfg, (doc.label,),
+        pools = _substitution_pools(emb, vocab, cfg, (label,),
                                     {w for _, w in present if w in embedded}
-                                    )[doc.label]
+                                    )[label]
     replaceable = [(p, w) for p, w in present if pools.get(w)]
     if not replaceable:
-        return doc
+        return tokens
     n_replace = math.ceil(cfg.replace_fraction * len(replaceable))
     chosen = rng.choice(len(replaceable), size=n_replace, replace=False)
-    tokens = list(doc.tokens)
     for ci in chosen:
         p, w = replaceable[ci]
         pool = pools[w]
         tokens[p] = vocab.words[pool[int(rng.integers(len(pool)))]]
-    return make_document(tokens, vocab, doc.label)
+    return tokens
 
 
-def augment_corpus(docs, emb: EmbeddingMatrix, vocab: Vocabulary,
-                   cfg: AugmentConfig) -> list[LabeledDocument]:
-    """One augmented copy per document, same order, deterministic for a seed."""
+def augment_corpus(docs, labels, emb: EmbeddingMatrix, vocab: Vocabulary,
+                   cfg: AugmentConfig) -> list[list[str]]:
+    """One augmented copy of each document's tokens, same order (and so the
+    same labels), deterministic for a seed."""
+    docs = list(docs)
+    labels = _checked_labels(labels, len(docs))
     rng = np.random.default_rng(cfg.seed)
-    embedded = set(emb.words)
-    needed = set()
-    for doc in docs:
-        needed.update(doc.word_set & embedded)
+    index_of = vocab.index_of
+    needed = {index_of[t] for doc in docs for t in doc if t in index_of}
     pools_by_label = _substitution_pools(emb, vocab, cfg, (POSITIVE, NEGATIVE),
-                                         needed)
-    return [augment_document(doc, emb, vocab, cfg, rng, pools_by_label[doc.label])
-            for doc in docs]
+                                         needed & set(emb.words))
+    return [augment_document(doc, label, emb, vocab, cfg, rng,
+                             pools_by_label[label])
+            for doc, label in zip(docs, labels)]
 
 
 @dataclass(frozen=True)
@@ -197,39 +196,33 @@ class ClassifierConfig:
             raise ValueError("s must be > 1")
 
 
-def document_vector(doc: LabeledDocument, V: int) -> np.ndarray:
-    return negation_closed_vector(doc.word_set, V)
-
-
-def train_classifier(docs, V: int, cfg: ClassifierConfig) -> ClauseBank:
+def train_classifier(ds: DocumentSet, labels,
+                     cfg: ClassifierConfig) -> ClauseBank:
     """Single-output machine; each example updates with q = its label."""
-    docs = list(docs)
-    labels = {d.label for d in docs}
-    if len(labels) < 2:
+    labels = _checked_labels(labels, ds.num_docs)
+    if len(set(labels)) < 2:
         raise ValueError("single-class training set")
     rng = np.random.default_rng(cfg.seed)
-    bank = init_bank(cfg.num_clauses, 1, V, cfg.N, cfg.T, cfg.s)
-    vectors = [document_vector(d, V) for d in docs]
+    bank = init_bank(cfg.num_clauses, 1, ds.V, cfg.N, cfg.T, cfg.s)
+    vectors = [ds.vector([d]) for d in range(ds.num_docs)]
     for _ in range(cfg.epochs):
-        for e in rng.permutation(len(docs)):
-            update(bank, vectors[e], 0, docs[e].label, rng)
+        for e in rng.permutation(ds.num_docs):
+            update(bank, vectors[e], 0, labels[e], rng)
     return bank
 
 
-def classify(bank: ClauseBank, doc: LabeledDocument) -> int:
-    V = bank.num_literals // 2
-    return int(predict(bank, document_vector(doc, V))[0])
-
-
-def accuracy(bank: ClauseBank, docs) -> tuple[float, dict[str, int]]:
+def accuracy(bank: ClauseBank, ds: DocumentSet,
+             labels) -> tuple[float, dict[str, int]]:
     """(accuracy, per-class correct/total counts) over the given documents."""
+    labels = _checked_labels(labels, ds.num_docs)
+    if not labels:
+        raise ValueError("no documents to score")
     counts = {"positive_correct": 0, "positive_total": 0,
               "negative_correct": 0, "negative_total": 0}
-    for doc in docs:
-        side = "positive" if doc.label == POSITIVE else "negative"
+    for d, label in enumerate(labels):
+        side = "positive" if label == POSITIVE else "negative"
         counts[side + "_total"] += 1
-        if classify(bank, doc) == doc.label:
+        if predict(bank, ds.vector([d]))[0] == label:
             counts[side + "_correct"] += 1
-    total = counts["positive_total"] + counts["negative_total"]
     correct = counts["positive_correct"] + counts["negative_correct"]
-    return (correct / total if total else 0.0), counts
+    return correct / len(labels), counts

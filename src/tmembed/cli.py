@@ -239,14 +239,15 @@ def _positive_int(value, source: str) -> int:
     return number
 
 
-def _load_labeled(corpus_path, labels_path, vocab) -> list[aug.LabeledDocument]:
+def _load_labeled(corpus_path, labels_path) -> tuple[list[list[str]], list[int]]:
+    """A corpus file's token lists and its label file's aligned labels."""
     raw = corp.read_corpus(corpus_path)
     labels = corp.read_labels(labels_path)
     if len(raw) != len(labels):
         raise ValueError(
             f"label/document count mismatch: {len(raw)} documents in "
             f"{corpus_path}, {len(labels)} labels in {labels_path}")
-    return [aug.make_document(toks, vocab, lab) for toks, lab in zip(raw, labels)]
+    return raw, labels
 
 
 def cmd_vocab(cfg: dict, _: None) -> int:
@@ -347,20 +348,20 @@ def cmd_eval(cfg: dict, _: None) -> int:
 def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
-    docs = _load_labeled(cfg["corpus"], cfg["labels"], vocab)
+    docs, labels = _load_labeled(cfg["corpus"], cfg["labels"])
     tokens, rows = p2.load_embeddings(cfg["embeddings"], num_literals=2 * vocab.size)
     known = [(t, i) for i, t in enumerate(tokens) if t in vocab.index_of]
     emb = p2.EmbeddingMatrix(
         words=tuple(vocab.index_of[t] for t, _ in known),
         rows=rows[[i for _, i in known]])
-    augmented = aug.augment_corpus(docs, emb, vocab, acfg)
+    augmented = aug.augment_corpus(docs, labels, emb, vocab, acfg)
     labels_out = cfg["labels_out"] or cfg["out"] + ".labels"
     with open(cfg["out"], "w", encoding="utf-8") as fh:
         for doc in augmented:
-            fh.write(" ".join(doc.tokens) + "\n")
+            fh.write(" ".join(doc) + "\n")
     with open(labels_out, "w", encoding="utf-8") as fh:
-        for doc in augmented:
-            fh.write(f"{doc.label}\n")
+        for label in labels:
+            fh.write(f"{label}\n")
     _write_manifest("augment", cfg,
                     [cfg["corpus"], cfg["labels"], cfg["vocab"], cfg["embeddings"]],
                     [cfg["out"], labels_out], t0)
@@ -371,15 +372,19 @@ def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> int:
 def cmd_classify(cfg: dict, ccfg: aug.ClassifierConfig) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
-    train_docs = _load_labeled(cfg["train"], cfg["train_labels"], vocab)
+    train_raw, train_labels = _load_labeled(cfg["train"], cfg["train_labels"])
     inputs = [cfg["train"], cfg["train_labels"], cfg["vocab"],
               cfg["test"], cfg["test_labels"]]
     if cfg["extra"]:
-        train_docs += _load_labeled(cfg["extra"], cfg["extra_labels"], vocab)
+        extra_raw, extra_labels = _load_labeled(cfg["extra"], cfg["extra_labels"])
+        train_raw += extra_raw
+        train_labels += extra_labels
         inputs += [cfg["extra"], cfg["extra_labels"]]
-    test_docs = _load_labeled(cfg["test"], cfg["test_labels"], vocab)
-    bank = aug.train_classifier(train_docs, vocab.size, ccfg)
-    acc, counts = aug.accuracy(bank, test_docs)
+    test_raw, test_labels = _load_labeled(cfg["test"], cfg["test_labels"])
+    bank = aug.train_classifier(corp.vectorize(train_raw, vocab), train_labels,
+                                ccfg)
+    acc, counts = aug.accuracy(bank, corp.vectorize(test_raw, vocab),
+                               test_labels)
     lines = [f"accuracy={acc:.6f}"]
     lines += [f"{k}={v}" for k, v in sorted(counts.items())]
     text = "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Corpus ingestion: tokenization, vocabulary construction, presence index.
 
 Documents are reduced to sets of word indices. A word's frequency inside a
-single document is irrelevant; presence alone activates the feature.
+single document is irrelevant; presence alone activates the feature. A
+`DocumentSet` is the one in-memory form of documents that every machine
+input is built from.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ class DocumentSet:
     def not_containing(self, word: int) -> np.ndarray:
         return np.setdiff1d(np.arange(self.num_docs), self.inverted[word],
                             assume_unique=True)
+
+    def vector(self, ids) -> np.ndarray:
+        """Union the given documents' word sets into a negation-closed
+        vector of length 2V: their word ids are scattered straight into the
+        feature half, and the other half is its negation."""
+        ids = np.asarray(ids).tolist()
+        x = np.zeros(2 * self.V, dtype=np.uint8)
+        if ids:
+            x[np.concatenate([self.docs[d] for d in ids])] = 1
+        x[self.V:] = 1 - x[:self.V]
+        return x
 
 
 def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:

@@ -6,8 +6,9 @@ states [1, 2N]; states above N include the literal in the clause conjunction.
 
 Input vectors ("literal vectors") have length 2V: positions [0, V) are the
 original features, [V, 2V) their negations. Negation closure
-(bits[i+V] == 1 - bits[i]) is a property of how callers build the vector,
-not of this module; the bank accepts any binary vector of the right length.
+(bits[i+V] == 1 - bits[i]) is a property of how callers build the vector
+(`corpus.DocumentSet.vector` for documents), not of this module; the bank
+accepts any binary vector of the right length.
 """
 
 from __future__ import annotations
@@ -62,18 +63,6 @@ def init_bank(num_clauses: int, num_outputs: int, V: int, N: int, T: int,
     states = np.full((num_clauses, 2 * V), N, dtype=np.int32)
     weights = np.zeros((num_clauses, num_outputs), dtype=np.int32)
     return ClauseBank(states=states, weights=weights, N=N, T=T, s=s)
-
-
-def negation_closed_vector(features, V: int) -> np.ndarray:
-    """Length-2V vector with the given feature indices set and the negation half filled."""
-    x = np.zeros(2 * V, dtype=np.uint8)
-    idx = np.asarray(list(features), dtype=np.int64)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= V:
-            raise ValueError("feature index out of range")
-        x[idx] = 1
-    x[V:] = 1 - x[:V]
-    return x
 
 
 def _check_input(bank: ClauseBank, x: np.ndarray) -> np.ndarray:

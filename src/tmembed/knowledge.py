@@ -76,7 +76,11 @@ class WordKnowledge:
     def __post_init__(self):
         if isinstance(self.clauses, ClauseArrays):
             return
-        pairs = [(np.fromiter(lits, np.int64), w) for lits, w in self.clauses]
+        try:  # beyond int64 is beyond u32 too
+            pairs = [(np.fromiter(lits, np.int64), w) for lits, w in self.clauses]
+        except OverflowError:
+            raise ValueError(f"word {self.word}: clause literal outside the "
+                             "int64 range") from None
         try:  # beyond int64 is beyond i32 too
             weights = np.array([w for _, w in pairs], dtype=np.int64)
         except OverflowError:

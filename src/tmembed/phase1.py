@@ -71,14 +71,8 @@ def build_x_from_documents(ds: DocumentSet, word: int, q: int, a: int,
                            rng: np.random.Generator,
                            pools: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray:
-    """Union the picked documents' word sets into a negation-closed vector:
-    their word ids are scattered straight into the feature half."""
-    picked = pick_documents(ds, word, q, a, rng, pools)
-    x = np.zeros(2 * ds.V, dtype=np.uint8)
-    if picked.size:
-        x[np.concatenate([ds.docs[d] for d in picked.tolist()])] = 1
-    x[ds.V:] = 1 - x[:ds.V]
-    return x
+    """The negation-closed union of the picked documents' word sets."""
+    return ds.vector(pick_documents(ds, word, q, a, rng, pools))
 
 
 def _word_rng(cfg: Phase1Config, word: int) -> np.random.Generator:

@@ -347,10 +347,23 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
 
 # Phase-1 input building and corpus vectorizing as they were before the
 # direct scatter and the sorted inverted index; both verbatim.
+# negation_closed_vector is the library helper the first used (and the
+# classifier, before DocumentSet.vector), also verbatim.
+
+def negation_closed_vector(features, V: int) -> np.ndarray:
+    """Length-2V vector with the given feature indices set and the negation half filled."""
+    x = np.zeros(2 * V, dtype=np.uint8)
+    idx = np.asarray(list(features), dtype=np.int64)
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= V:
+            raise ValueError("feature index out of range")
+        x[idx] = 1
+    x[V:] = 1 - x[:V]
+    return x
+
 
 def build_x_from_documents(ds, word, q, a, rng, pools=None):
     """Union the picked documents' word sets into a negation-closed vector."""
-    from tmembed.cotm import negation_closed_vector
     from tmembed.phase1 import pick_documents
 
     picked = pick_documents(ds, word, q, a, rng, pools)

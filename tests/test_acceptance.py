@@ -14,12 +14,13 @@ from scipy.stats import chi2_contingency
 
 from tmembed import cli, cotm, evaluation as ev, knowledge, phase1, phase2
 from tmembed.augment import (AugmentConfig, ClassifierConfig, accuracy,
-                             augment_corpus, make_document, train_classifier)
+                             augment_corpus, train_classifier)
 from tmembed.corpus import Vocabulary, vectorize
 from tmembed.phase1 import Phase1Config
 
 from conftest import make_store
-from oracles import eligible_documents, naive_predict, two_level_union
+from oracles import (eligible_documents, naive_predict, negation_closed_vector,
+                     two_level_union)
 from test_phase2 import random_toy_store
 
 
@@ -46,7 +47,7 @@ def test_c1_predict_matches_naive_oracle_on_all_closed_inputs():
             weights = bank.weights.tolist()
             for code in range(2 ** V):
                 feats = [i for i in range(V) if (code >> i) & 1]
-                x = cotm.negation_closed_vector(feats, V)
+                x = negation_closed_vector(feats, V)
                 assert cotm.predict(bank, x).tolist() == \
                     naive_predict(states, weights, bank.N, x.tolist())
         assert time.monotonic() - t0 < 10.0
@@ -69,7 +70,7 @@ def test_c2_feedback_invariants():
         bank2 = cotm.init_bank(1, 1, 2, N=16, T=10, s=3.0)
         bank2.states[0, 0] = 17  # clause {x0} matches x below
         bank2.weights[0, 0] = 1
-        x = cotm.negation_closed_vector([0], 2)
+        x = negation_closed_vector([0], 2)
         rng2 = np.random.default_rng(103)
         for step in range(200):
             if cotm.clause_output(bank2, 0, x, "infer") == 0:
@@ -231,18 +232,17 @@ def test_c9_end_to_end_sentiment_with_augmentation():
                                         Phase1Config(r=120, a=4, epochs=2,
                                                      num_clauses=20, T=20,
                                                      s=3.0, N=32, seed=1))
-        train = [make_document(t, vocab, l)
-                 for t, l in zip(train_raw, train_labels)]
-        test = [make_document(t, vocab, l)
-                for t, l in zip(test_raw, test_labels)]
-        augmented = augment_corpus(train, emb, vocab, AugmentConfig(
-            replace_fraction=0.15, pool_size=2, seed=2))
+        augmented = augment_corpus(train_raw, train_labels, emb, vocab,
+                                   AugmentConfig(replace_fraction=0.15,
+                                                 pool_size=2, seed=2))
+        test = vectorize(test_raw, vocab)
         ccfg = ClassifierConfig(num_clauses=20, T=20, s=3.0, N=32, epochs=10,
                                 seed=3)
-        acc_aug, _ = accuracy(
-            train_classifier(train + augmented, vocab.size, ccfg), test)
-        acc_plain, _ = accuracy(
-            train_classifier(train, vocab.size, ccfg), test)
+        acc_aug, _ = accuracy(train_classifier(
+            vectorize(train_raw + augmented, vocab), train_labels * 2, ccfg),
+            test, test_labels)
+        acc_plain, _ = accuracy(train_classifier(ds, train_labels, ccfg),
+                                test, test_labels)
         n_pos = sum(test_labels)
         majority = max(n_pos, len(test_labels) - n_pos) / len(test_labels)
         delta = acc_aug - acc_plain

@@ -6,7 +6,7 @@ import pytest
 
 from tmembed import augment as aug
 from tmembed import cotm
-from tmembed.corpus import Vocabulary
+from tmembed.corpus import Vocabulary, vectorize
 from tmembed.phase2 import EmbeddingMatrix
 from conftest import sentiment_fixture
 from oracles import nearest_words_loop, pairwise_cosine_table
@@ -100,60 +100,58 @@ def test_ranking_matches_loop_oracle_on_tied_integer_rows(seed):
 
 def test_positive_review_swaps_movie_for_film():
     vocab, emb = toy_embeddings()
-    doc = aug.make_document(["movie"], vocab, aug.POSITIVE)
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(doc, emb, vocab, cfg, np.random.default_rng(0))
-    assert out.tokens == ("film",)
-    assert out.label == aug.POSITIVE
+    out = aug.augment_document(["movie"], aug.POSITIVE, emb, vocab, cfg,
+                               np.random.default_rng(0))
+    assert out == ["film"]
 
 
 def test_negative_review_swaps_confusing_for_chaotic():
     vocab, emb = toy_embeddings()
-    doc = aug.make_document(["confusing"], vocab, aug.NEGATIVE)
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(doc, emb, vocab, cfg, np.random.default_rng(0))
-    assert out.tokens == ("chaotic",)
-    assert out.label == aug.NEGATIVE
+    out = aug.augment_document(["confusing"], aug.NEGATIVE, emb, vocab, cfg,
+                               np.random.default_rng(0))
+    assert out == ["chaotic"]
 
 
 def test_document_without_replaceable_tokens_is_unchanged():
     vocab, emb = toy_embeddings()
-    doc = aug.make_document(["zebra", "xylophone"], vocab, aug.POSITIVE)
+    doc = ["zebra", "xylophone"]
     cfg = aug.AugmentConfig(replace_fraction=0.5, pool_size=2, seed=0)
-    out = aug.augment_document(doc, emb, vocab, cfg, np.random.default_rng(0))
-    assert out == doc
+    out = aug.augment_document(doc, aug.POSITIVE, emb, vocab, cfg,
+                               np.random.default_rng(0))
+    assert out == doc and out is not doc
 
 
 def test_replacement_budget_is_exact_and_oov_untouched():
     vocab, emb = toy_embeddings()
     tokens = ["movie", "film", "plot", "movie", "zzz", "film", "plot",
               "movie", "film", "plot", "qqq"]
-    doc = aug.make_document(tokens, vocab, aug.POSITIVE)
     frac = 0.3
     cfg = aug.AugmentConfig(replace_fraction=frac, pool_size=2, seed=0)
     rng = np.random.default_rng(1)
-    out = aug.augment_document(doc, emb, vocab, cfg, rng)
+    out = aug.augment_document(tokens, aug.POSITIVE, emb, vocab, cfg, rng)
     replaceable = 9  # all embedded tokens; zzz and qqq are not
-    changed = sum(1 for a, b in zip(doc.tokens, out.tokens) if a != b)
+    changed = sum(1 for a, b in zip(tokens, out) if a != b)
     assert changed == math.ceil(frac * replaceable)
-    assert out.tokens[4] == "zzz" and out.tokens[10] == "qqq"
-    assert out.label == doc.label
+    assert len(out) == len(tokens)
+    assert out[4] == "zzz" and out[10] == "qqq"
 
 
 def test_augment_corpus_is_deterministic_and_label_preserving():
     vocab, emb = toy_embeddings()
     rng = np.random.default_rng(2)
-    docs = []
     toks = list(vocab.words)
-    for i in range(10):
-        body = [toks[j] for j in rng.integers(0, len(toks), size=5)]
-        docs.append(aug.make_document(body, vocab, i % 2))
+    docs = [[toks[j] for j in rng.integers(0, len(toks), size=5)]
+            for _ in range(10)]
+    labels = [i % 2 for i in range(10)]
     cfg = aug.AugmentConfig(replace_fraction=0.4, pool_size=2, seed=5)
-    out1 = aug.augment_corpus(docs, emb, vocab, cfg)
-    out2 = aug.augment_corpus(docs, emb, vocab, cfg)
-    assert out1 == out2
-    assert len(out1) == 10
-    assert [d.label for d in out1] == [d.label for d in docs]
+    out1 = aug.augment_corpus(docs, labels, emb, vocab, cfg)
+    out2 = aug.augment_corpus(docs, labels, emb, vocab, cfg)
+    assert out1 == out2 != docs
+    # one copy per document in order, so each keeps its label's position
+    assert [len(d) for d in out1] == [len(d) for d in docs]
+    assert labels == [i % 2 for i in range(10)]
 
 
 def test_stopwords_never_enter_dissimilar_pools():
@@ -165,21 +163,26 @@ def test_stopwords_never_enter_dissimilar_pools():
         [0.9, 0.1],
     ])
     emb = EmbeddingMatrix(words=(0, 1, 2, 3), rows=rows)
-    doc = aug.make_document(["confusing"], vocab, aug.NEGATIVE)
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(doc, emb, vocab, cfg, np.random.default_rng(0))
-    assert out.tokens == ("chaotic",)
+    out = aug.augment_document(["confusing"], aug.NEGATIVE, emb, vocab, cfg,
+                               np.random.default_rng(0))
+    assert out == ["chaotic"]
 
 
 # ---- classifier ----
 
 def classifier_fixture():
+    """vocab, then the training and the test documents, each a DocumentSet
+    and its labels."""
     vocab, train_raw, train_labels, test_raw, test_labels = sentiment_fixture()
-    train = [aug.make_document(t, vocab, l)
-             for t, l in zip(train_raw, train_labels)]
-    test = [aug.make_document(t, vocab, l)
-            for t, l in zip(test_raw, test_labels)]
-    return vocab, train, test
+    return (vocab, vectorize(train_raw, vocab), train_labels,
+            vectorize(test_raw, vocab), test_labels)
+
+
+def predictions(bank, ds):
+    """The classifier's decision for each document of ds."""
+    return [int(cotm.predict(bank, ds.vector([d]))[0])
+            for d in range(ds.num_docs)]
 
 
 DESK_CLS = dict(num_clauses=20, T=20, s=3.0, N=32, epochs=10)
@@ -191,57 +194,98 @@ def test_classifier_config_defaults_echo_reference_setup():
 
 
 def test_classifier_separates_toy_corpus():
-    vocab, train, test = classifier_fixture()
-    bank = aug.train_classifier(train, vocab.size, aug.ClassifierConfig(
+    vocab, train, labels, _, _ = classifier_fixture()
+    bank = aug.train_classifier(train, labels, aug.ClassifierConfig(
         seed=0, **DESK_CLS))
-    acc, counts = aug.accuracy(bank, train)
+    acc, counts = aug.accuracy(bank, train, labels)
     assert acc >= 0.95
     majority = max(counts["positive_total"], counts["negative_total"]) / \
-        len(train)
+        len(labels)
     assert acc > majority
 
 
 def test_classifier_replays_training_labels():
-    vocab, train, _ = classifier_fixture()
-    bank = aug.train_classifier(train, vocab.size, aug.ClassifierConfig(
+    vocab, train, labels, _, _ = classifier_fixture()
+    bank = aug.train_classifier(train, labels, aug.ClassifierConfig(
         seed=1, **DESK_CLS))
-    hits = sum(aug.classify(bank, d) == d.label for d in train)
-    assert hits / len(train) >= 0.95
+    hits = sum(p == l for p, l in zip(predictions(bank, train), labels))
+    assert hits / len(labels) >= 0.95
 
 
 def test_classifier_determinism():
-    vocab, train, test = classifier_fixture()
+    vocab, train, labels, test, test_labels = classifier_fixture()
     cfg = aug.ClassifierConfig(seed=2, **DESK_CLS)
-    b1 = aug.train_classifier(train, vocab.size, cfg)
-    b2 = aug.train_classifier(train, vocab.size, cfg)
+    b1 = aug.train_classifier(train, labels, cfg)
+    b2 = aug.train_classifier(train, labels, cfg)
     assert np.array_equal(b1.states, b2.states)
     assert np.array_equal(b1.weights, b2.weights)
-    assert aug.accuracy(b1, test) == aug.accuracy(b2, test)
+    assert aug.accuracy(b1, test, test_labels) == \
+        aug.accuracy(b2, test, test_labels)
 
 
 def test_classifier_rejects_single_class():
-    vocab, train, _ = classifier_fixture()
-    positives = [d for d in train if d.label == 1]
+    vocab, _, _, _, _ = classifier_fixture()
+    positives = vectorize([["good"], ["great", "plot"]], vocab)
     with pytest.raises(ValueError, match="single-class"):
-        aug.train_classifier(positives, vocab.size, aug.ClassifierConfig())
+        aug.train_classifier(positives, [1, 1], aug.ClassifierConfig())
 
 
 def test_empty_document_with_zero_bank_is_negative():
     vocab = Vocabulary.from_words(["a", "b"])
     bank = cotm.init_bank(4, 1, 2, N=8, T=10, s=3.0)
-    doc = aug.make_document([], vocab, aug.POSITIVE)
-    assert aug.classify(bank, doc) == aug.NEGATIVE
+    assert predictions(bank, vectorize([[]], vocab)) == [aug.NEGATIVE]
 
 
 def test_degenerate_bank_is_constant():
     vocab = Vocabulary.from_words(["a", "b"])
     bank = cotm.init_bank(1, 1, 2, N=8, T=10, s=3.0)
     bank.weights[0, 0] = 3  # empty clause never fires at inference
-    docs = [aug.make_document(t, vocab, 0) for t in (["a"], ["b"], [])]
-    assert {aug.classify(bank, d) for d in docs} == {0}
+    docs = vectorize([["a"], ["b"], []], vocab)
+    assert predictions(bank, docs) == [0, 0, 0]
     bank.states[0, 2] = 9  # include not-a: fires iff "a" absent
-    assert aug.classify(bank, aug.make_document(["b"], vocab, 0)) == 1
-    assert aug.classify(bank, aug.make_document(["a", "b"], vocab, 0)) == 0
+    assert predictions(bank, vectorize([["b"], ["a", "b"]], vocab)) == [1, 0]
+
+
+def test_accuracy_over_no_documents_is_an_error():
+    vocab = Vocabulary.from_words(["a", "b"])
+    bank = cotm.init_bank(4, 1, 2, N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="^no documents to score$"):
+        aug.accuracy(bank, vectorize([], vocab), [])
+
+
+def label_checked_calls(labels):
+    """Every library call that takes labels for the same three documents."""
+    vocab, emb = toy_embeddings()
+    raw = [["movie"], ["confusing", "plot"], []]
+    ds = vectorize(raw, vocab)
+    bank = cotm.init_bank(4, 1, vocab.size, N=8, T=10, s=3.0)
+    return {
+        "train_classifier": lambda: aug.train_classifier(
+            ds, labels, aug.ClassifierConfig(**DESK_CLS)),
+        "accuracy": lambda: aug.accuracy(bank, ds, labels),
+        "augment_corpus": lambda: aug.augment_corpus(
+            raw, labels, emb, vocab, aug.AugmentConfig()),
+    }
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0]],
+                         ids=["fewer", "more"])
+def test_library_rejects_a_label_count_other_than_the_document_count(labels):
+    message = (f"^label/document count mismatch: 3 documents, "
+               f"{len(labels)} labels$")
+    for name, call in label_checked_calls(labels).items():
+        with pytest.raises(ValueError, match=message):
+            call()
+    for name, call in label_checked_calls([0, 1, 1]).items():
+        call()
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1"])
+def test_library_rejects_a_label_outside_0_and_1(bad):
+    for name, call in label_checked_calls([0, 1, bad]).items():
+        with pytest.raises(ValueError,
+                           match=f"^label must be 0 or 1, got {bad!r}$"):
+            call()
 
 
 # sha256 of the states and weights train_classifier returns for
@@ -264,28 +308,19 @@ def pinned_classifier_inputs():
     train_raw, train_labels = train_raw + [[], ["zzz"]], train_labels + [0, 1]
     test_raw = test_raw + [[], ["zzz", "qqq"], ["good", "zzz"]]
     test_labels = test_labels + [1, 0, 1]
-    train = [aug.make_document(t, vocab, l)
-             for t, l in zip(train_raw, train_labels)]
-    test = [aug.make_document(t, vocab, l)
-            for t, l in zip(test_raw, test_labels)]
-    return vocab, train, test
+    return (vectorize(train_raw, vocab), train_labels,
+            vectorize(test_raw, vocab), test_labels)
 
 
 def test_classifier_bank_and_accuracy_are_pinned():
-    vocab, train, test = pinned_classifier_inputs()
-    bank = aug.train_classifier(train, vocab.size, PINNED_CLS)
+    train, train_labels, test, test_labels = pinned_classifier_inputs()
+    bank = aug.train_classifier(train, train_labels, PINNED_CLS)
     assert (bank.states.dtype, bank.weights.dtype) == (np.int32, np.int32)
     assert hashlib.sha256(bank.states.tobytes()).hexdigest() == \
         PINNED_STATES_SHA256
     assert hashlib.sha256(bank.weights.tobytes()).hexdigest() == \
         PINNED_WEIGHTS_SHA256
-    assert aug.accuracy(bank, test) == PINNED_ACCURACY
-
-
-def test_make_document_validates_label():
-    vocab = Vocabulary.from_words(["a"])
-    with pytest.raises(ValueError, match="label"):
-        aug.make_document(["a"], vocab, 2)
+    assert aug.accuracy(bank, test, test_labels) == PINNED_ACCURACY
 
 
 # sha256 of augment_corpus's output for pinned_augment_inputs, written as the
@@ -306,18 +341,22 @@ def pinned_augment_inputs():
     rows[5] = 0.0
     emb = EmbeddingMatrix(words=tuple(range(14)), rows=rows)
     toks = words + ["oov"]
-    docs = [aug.make_document(
-        [toks[j] for j in rng.integers(0, len(toks), size=9)], vocab, d % 2)
-        for d in range(40)]
-    return vocab, emb, docs
+    docs = [[toks[j] for j in rng.integers(0, len(toks), size=9)]
+            for _ in range(40)]
+    return vocab, emb, docs, [d % 2 for d in range(40)]
+
+
+def augmented_text(out, labels):
+    """out and labels as the augment command writes aug.txt, aug.txt.labels."""
+    return ("".join(" ".join(d) + "\n" for d in out)
+            + "".join(f"{label}\n" for label in labels))
 
 
 def test_augment_corpus_output_is_pinned():
-    vocab, emb, docs = pinned_augment_inputs()
-    out = aug.augment_corpus(docs, emb, vocab, aug.AugmentConfig(
+    vocab, emb, docs, labels = pinned_augment_inputs()
+    out = aug.augment_corpus(docs, labels, emb, vocab, aug.AugmentConfig(
         replace_fraction=0.4, pool_size=3, seed=9))
-    text = ("".join(" ".join(d.tokens) + "\n" for d in out)
-            + "".join(f"{d.label}\n" for d in out))
+    text = augmented_text(out, labels)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUGMENT_SHA256
 
 
@@ -331,14 +370,14 @@ class CountingRows(np.ndarray):
 
 
 def test_augment_corpus_takes_one_similarity_product_per_word():
-    vocab, emb, docs = pinned_augment_inputs()
-    needed = set().union(*(d.word_set for d in docs)) & set(emb.words)
+    vocab, emb, docs, labels = pinned_augment_inputs()
+    needed = {vocab.index_of[t] for d in docs for t in d
+              if t in vocab.index_of} & set(emb.words)
     nonzero = {w for w in needed if emb.rows[emb.words.index(w)].any()}
     CountingRows.products = 0
     counted = EmbeddingMatrix(words=emb.words, rows=emb.rows.view(CountingRows))
-    out = aug.augment_corpus(docs, counted, vocab, aug.AugmentConfig(
+    out = aug.augment_corpus(docs, labels, counted, vocab, aug.AugmentConfig(
         replace_fraction=0.4, pool_size=3, seed=9))
     assert CountingRows.products == len(nonzero) > 0
-    text = ("".join(" ".join(d.tokens) + "\n" for d in out)
-            + "".join(f"{d.label}\n" for d in out))
+    text = augmented_text(out, labels)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_AUGMENT_SHA256

@@ -280,6 +280,22 @@ def test_classify_label_count_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_classify_with_an_empty_test_set_fails(tmp_path, capsys):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, train_l = paths["train"]
+    empty_c, empty_l = tmp_path / "empty.txt", tmp_path / "empty.labels"
+    empty_c.write_text("")
+    empty_l.write_text("")
+    report = tmp_path / "r.txt"
+    code = run(["classify", "--train", train_c, "--train-labels", train_l,
+                "--test", empty_c, "--test-labels", empty_l,
+                "--vocab", vpath, "--clauses", 4, "--T", 4, "--epochs", 1,
+                "--out", report])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no documents to score\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("text, line, message", [
     ("1\n\npos\n", 3, "invalid literal for int() with base 10: 'pos'"),
     ("0\n2\n", 2, "label must be 0 or 1, got 2"),

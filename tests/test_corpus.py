@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tmembed import corpus
-from oracles import df_ranking, vectorize_loopwise
+from oracles import df_ranking, negation_closed_vector, vectorize_loopwise
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
@@ -102,6 +102,34 @@ def test_vectorize_matches_the_loop_oracle():
         seen["empty document"] += any(d.size == 0 for d in mine.docs)
         seen["word in no document"] += any(d.size == 0 for d in mine.inverted)
     assert min(seen.values()) >= 3 and len(seen) == 3
+
+
+def test_vector_matches_the_negation_closed_union_oracle():
+    # random corpora with empty and out-of-vocabulary-only documents; id
+    # lists that are empty, hold one id, or repeat ids, as lists and arrays
+    rng = np.random.default_rng(13)
+    seen = Counter()
+    for _ in range(80):
+        V = int(rng.integers(1, 10))
+        vocab = corpus.Vocabulary.from_words([f"w{i}" for i in range(V)])
+        raw = [[f"w{j}" for j in rng.integers(0, V + 3, size=rng.integers(0, 6))]
+               for _ in range(rng.integers(1, 10))]
+        ds = corpus.vectorize(raw, vocab)
+        for size in (0, 1, int(rng.integers(2, 12))):
+            ids = rng.integers(0, ds.num_docs, size=size)
+            union = set().union(*(set(ds.docs[d].tolist()) for d in ids))
+            want = negation_closed_vector(union, V)
+            for given in (ids, ids.tolist()):
+                got = ds.vector(given)
+                assert got.dtype == want.dtype == np.uint8
+                assert np.array_equal(got, want)
+            seen["empty ids"] += size == 0
+            seen["repeated ids"] += len(set(ids.tolist())) < size
+            seen["empty document picked"] += any(ds.docs[d].size == 0
+                                                 for d in ids)
+        seen["oov-only document"] += any(
+            doc and not any(t in vocab.index_of for t in doc) for doc in raw)
+    assert min(seen.values()) >= 5 and len(seen) == 4
 
 
 def test_determinism():

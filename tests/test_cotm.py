@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tmembed import cotm
-from oracles import naive_clause_output, naive_predict
+from oracles import naive_clause_output, naive_predict, negation_closed_vector
 
 
 def random_bank(rng, num_clauses, num_outputs, V, N=8, T=10, s=3.0):
@@ -20,17 +20,17 @@ def test_clause_with_first_and_last_negated_literal():
     bank = cotm.init_bank(1, 1, V, N=8, T=10, s=3.0)
     bank.states[0, 0] = 9          # x1
     bank.states[0, 2 * V - 1] = 9  # negation of the last feature
-    x = cotm.negation_closed_vector([0, 1], V)  # feature V-1 absent
+    x = negation_closed_vector([0, 1], V)  # feature V-1 absent
     assert x[0] == 1 and x[2 * V - 1] == 1
     assert cotm.clause_output(bank, 0, x, "infer") == 1
     assert cotm.clause_output(bank, 0, x, "train") == 1
-    y = cotm.negation_closed_vector([0, V - 1], V)  # last feature present
+    y = negation_closed_vector([0, V - 1], V)  # last feature present
     assert cotm.clause_output(bank, 0, y, "infer") == 0
 
 
 def test_empty_clause_convention():
     bank = cotm.init_bank(2, 1, 3, N=8, T=10, s=3.0)
-    x = cotm.negation_closed_vector([1], 3)
+    x = negation_closed_vector([1], 3)
     assert cotm.clause_output(bank, 0, x, "infer") == 0
     assert cotm.clause_output(bank, 0, x, "train") == 1
 
@@ -62,7 +62,7 @@ def test_clause_output_validation():
 
 def test_predict_zero_weights_gives_zeros():
     bank = cotm.init_bank(4, 3, 5, N=8, T=10, s=3.0)
-    x = cotm.negation_closed_vector([0, 4], 5)
+    x = negation_closed_vector([0, 4], 5)
     assert cotm.predict(bank, x).tolist() == [0, 0, 0]
 
 
@@ -70,7 +70,7 @@ def test_predict_single_positive_vote():
     bank = cotm.init_bank(1, 1, 3, N=8, T=10, s=3.0)
     bank.states[0, 1] = 9
     bank.weights[0, 0] = 3
-    x = cotm.negation_closed_vector([1], 3)
+    x = negation_closed_vector([1], 3)
     assert cotm.predict(bank, x).tolist() == [1]
 
 
@@ -79,7 +79,7 @@ def test_predict_tie_at_zero_is_zero():
     bank.states[:, 0] = 9
     bank.weights[0, 0] = 2
     bank.weights[1, 0] = -2
-    x = cotm.negation_closed_vector([0], 2)
+    x = negation_closed_vector([0], 2)
     assert cotm.vote_sum(bank, x, 0) == 0
     assert cotm.predict(bank, x).tolist() == [0]
 
@@ -93,7 +93,7 @@ def test_predict_matches_naive_on_all_closed_inputs():
         weights = bank.weights.tolist()
         for code in range(2 ** V):
             feats = [i for i in range(V) if (code >> i) & 1]
-            x = cotm.negation_closed_vector(feats, V)
+            x = negation_closed_vector(feats, V)
             assert cotm.predict(bank, x).tolist() == \
                 naive_predict(states, weights, bank.N, x.tolist())
 
@@ -104,7 +104,7 @@ def test_vote_sum_clamps():
     bank = cotm.init_bank(1, 1, 2, N=8, T=3200, s=3.0)
     bank.states[0, 0] = 9
     bank.weights[0, 0] = 5000
-    x = cotm.negation_closed_vector([0], 2)
+    x = negation_closed_vector([0], 2)
     assert cotm.vote_sum(bank, x, 0) == 3200
     bank.weights[0, 0] = -5000
     assert cotm.vote_sum(bank, x, 0) == -3200
@@ -123,7 +123,7 @@ def test_invalidation_increments_false_literal_from_boundary():
     N = 16
     bank = cotm.init_bank(1, 1, 2, N=N, T=10, s=3.0)
     bank.states[0, 0] = N + 1  # include literal 0 so the clause matches x
-    x = cotm.negation_closed_vector([0], 2)  # bits [1, 0, 0, 1]
+    x = negation_closed_vector([0], 2)  # bits [1, 0, 0, 1]
     rng = np.random.default_rng(0)
     before = bank.states[0].copy()
     for _ in range(200):
@@ -140,7 +140,7 @@ def test_invalidation_drives_matching_clause_to_reject():
     bank = cotm.init_bank(1, 1, 2, N=N, T=10, s=3.0)
     bank.states[0, 0] = N + 1
     bank.weights[0, 0] = 1
-    x = cotm.negation_closed_vector([0], 2)
+    x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(1)
     for step in range(200):
         if cotm.clause_output(bank, 0, x, "infer") == 0:
@@ -152,7 +152,7 @@ def test_invalidation_drives_matching_clause_to_reject():
 def test_large_s_leaves_false_literals_untouched_on_memorization():
     # 1/s -> 0: false literals of a matching clause keep their state
     bank = cotm.init_bank(2, 1, 4, N=8, T=10, s=1e12)
-    x = cotm.negation_closed_vector([0, 2], 4)
+    x = negation_closed_vector([0, 2], 4)
     rng = np.random.default_rng(2)
     false_idx = np.flatnonzero(x == 0)
     before = bank.states[:, false_idx].copy()
@@ -191,7 +191,7 @@ def test_no_reinforcement_at_the_voting_margin():
     bank = cotm.init_bank(1, 1, 2, N=8, T=T, s=3.0)
     bank.states[0, 0] = 9
     bank.weights[0, 0] = T
-    x = cotm.negation_closed_vector([0], 2)
+    x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(5)
     states, weights = bank.states.copy(), bank.weights.copy()
     for _ in range(500):
@@ -205,7 +205,7 @@ def test_no_invalidation_at_negative_margin():
     bank = cotm.init_bank(1, 1, 2, N=8, T=T, s=3.0)
     bank.states[0, 0] = 9
     bank.weights[0, 0] = -T
-    x = cotm.negation_closed_vector([0], 2)
+    x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(6)
     states, weights = bank.states.copy(), bank.weights.copy()
     for _ in range(500):
@@ -241,7 +241,7 @@ def test_memorization_increments_weight_invalidation_decrements():
 def test_update_validation():
     bank = cotm.init_bank(2, 2, 3, N=8, T=10, s=3.0)
     rng = np.random.default_rng(0)
-    x = cotm.negation_closed_vector([0], 3)
+    x = negation_closed_vector([0], 3)
     with pytest.raises(ValueError, match="target bit"):
         cotm.update(bank, x, 0, 2, rng)
     with pytest.raises(ValueError, match="output id"):
@@ -256,7 +256,7 @@ def test_init_bank_state():
     bank = cotm.init_bank(3, 2, 4, N=8, T=10, s=3.0)
     assert (bank.states == 8).all()
     assert (bank.weights == 0).all()
-    x = cotm.negation_closed_vector([1, 3], 4)
+    x = negation_closed_vector([1, 3], 4)
     assert all(cotm.clause_output(bank, c, x, "infer") == 0 for c in range(3))
     assert cotm.predict(bank, x).tolist() == [0, 0]
 
@@ -283,7 +283,7 @@ def test_init_bank_rejects_bad_hyperparameters():
 # ---- vector constructors ----
 
 def test_negation_closed_vector():
-    x = cotm.negation_closed_vector([1, 2, 3, 5], 8)
+    x = negation_closed_vector([1, 2, 3, 5], 8)
     assert x.tolist() == [0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1]
     with pytest.raises(ValueError, match="feature index"):
-        cotm.negation_closed_vector([8], 8)
+        negation_closed_vector([8], 8)

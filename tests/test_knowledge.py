@@ -277,6 +277,15 @@ def test_a_weight_outside_i32_is_rejected_and_writes_nothing(tmp_path, weight):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
 
 
+@pytest.mark.parametrize("literal", [2**63, 2**64, -2**63 - 1, -2**64])
+def test_a_literal_outside_int64_is_refused_as_the_entry_is_built(literal):
+    message = "^word 1: clause literal outside the int64 range$"
+    with pytest.raises(ValueError, match=message):
+        knowledge.WordKnowledge(1, [((0,), 1), ((1, literal), -1)])
+    assert knowledge.WordKnowledge(1, [((2**63 - 1,), 1)]).clauses.literals \
+        .tolist() == [2**63 - 1]
+
+
 def test_the_i32_extremes_round_trip(tmp_path):
     vocab = Vocabulary.from_words(["w0", "w1"])
     _, store = make_store({1: [((0,), 2**31 - 1), ((1, 2), -2**31)]}, V=2)

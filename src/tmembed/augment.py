@@ -145,6 +145,7 @@ def augment_document(tokens, label: int, emb: EmbeddingMatrix,
     present = [(p, vocab.index_of[t]) for p, t in enumerate(tokens)
                if t in vocab.index_of]
     if pools is None:
+        _checked_labels([label], 1)
         embedded = set(emb.words)
         pools = _substitution_pools(emb, vocab, cfg, (label,),
                                     {w for _, w in present if w in embedded}

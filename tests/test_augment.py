@@ -259,13 +259,13 @@ def label_checked_calls(labels):
     raw = [["movie"], ["confusing", "plot"], []]
     ds = vectorize(raw, vocab)
     bank = cotm.init_bank(4, 1, vocab.size, N=8, T=10, s=3.0)
-    return {
-        "train_classifier": lambda: aug.train_classifier(
-            ds, labels, aug.ClassifierConfig(**DESK_CLS)),
-        "accuracy": lambda: aug.accuracy(bank, ds, labels),
-        "augment_corpus": lambda: aug.augment_corpus(
-            raw, labels, emb, vocab, aug.AugmentConfig()),
-    }
+    return [
+        lambda: aug.train_classifier(ds, labels,
+                                     aug.ClassifierConfig(**DESK_CLS)),
+        lambda: aug.accuracy(bank, ds, labels),
+        lambda: aug.augment_corpus(raw, labels, emb, vocab,
+                                   aug.AugmentConfig()),
+    ]
 
 
 @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0]],
@@ -273,19 +273,23 @@ def label_checked_calls(labels):
 def test_library_rejects_a_label_count_other_than_the_document_count(labels):
     message = (f"^label/document count mismatch: 3 documents, "
                f"{len(labels)} labels$")
-    for name, call in label_checked_calls(labels).items():
+    for call in label_checked_calls(labels):
         with pytest.raises(ValueError, match=message):
             call()
-    for name, call in label_checked_calls([0, 1, 1]).items():
+    for call in label_checked_calls([0, 1, 1]):
         call()
 
 
 @pytest.mark.parametrize("bad", [2, -1, "1"])
 def test_library_rejects_a_label_outside_0_and_1(bad):
-    for name, call in label_checked_calls([0, 1, bad]).items():
-        with pytest.raises(ValueError,
-                           match=f"^label must be 0 or 1, got {bad!r}$"):
+    message = f"^label must be 0 or 1, got {bad!r}$"
+    for call in label_checked_calls([0, 1, bad]):
+        with pytest.raises(ValueError, match=message):
             call()
+    vocab, emb = toy_embeddings()
+    with pytest.raises(ValueError, match=message):
+        aug.augment_document(["movie"], bad, emb, vocab, aug.AugmentConfig(),
+                             np.random.default_rng(0))
 
 
 # sha256 of the states and weights train_classifier returns for

@@ -76,10 +76,16 @@ class DocumentSet:
     def vector(self, ids) -> np.ndarray:
         """Union the given documents' word sets into a negation-closed
         vector of length 2V: their word ids are scattered straight into the
-        feature half, and the other half is its negation."""
+        feature half, and the other half is its negation. An id outside
+        [0, num_docs) raises ValueError."""
         ids = np.asarray(ids).tolist()
         x = np.zeros(2 * self.V, dtype=np.uint8)
         if ids:
+            ends = sorted(ids)  # one call: cheaper than min() and max()
+            if ends[0] < 0 or ends[-1] >= self.num_docs:
+                bad = ends[0] if ends[0] < 0 else ends[-1]
+                raise ValueError(f"document id {bad} out of range for "
+                                 f"{self.num_docs} documents")
             x[np.concatenate([self.docs[d] for d in ids])] = 1
         x[self.V:] = 1 - x[:self.V]
         return x

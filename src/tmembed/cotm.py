@@ -4,6 +4,11 @@ One shared clause bank serves multiple outputs through per-output signed
 clause weights. Each literal of each clause is a two-action automaton over
 states [1, 2N]; states above N include the literal in the clause conjunction.
 
+The bank keeps that include mask, and for each clause whether it includes any
+literal, next to the states. `ClauseBank.states` is read-only: `update` and
+`ClauseBank.set_states` are the only writers, and each refreshes the mask on
+the rows it writes, so clause evaluation never recomputes `states > N`.
+
 Input vectors ("literal vectors") have length 2V: positions [0, V) are the
 original features, [V, 2V) their negations. Negation closure
 (bits[i+V] == 1 - bits[i]) is a property of how callers build the vector
@@ -13,40 +18,94 @@ accepts any binary vector of the right length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class ClauseBank:
     """Automata states plus per-output clause weights and the update hyperparameters.
 
-    states:  [num_clauses, 2V] ints in [1, 2N]
+    states:  [num_clauses, 2V] int32 in [1, 2N], read-only; write through
+             set_states
     weights: [num_clauses, num_outputs] signed ints, start at 0
+
+    The bank copies the states it is given and keeps `included()`
+    (states > N) and, per clause, whether any literal is included, exact
+    after every write.
     """
 
-    states: np.ndarray
-    weights: np.ndarray
-    N: int
-    T: int
-    s: float
+    def __init__(self, states, weights, N: int, T: int, s: float):
+        if N < 1:
+            raise ValueError("N must be >= 1")
+        if T < 1:
+            raise ValueError("T must be >= 1")
+        if s <= 1.0:
+            raise ValueError("s must be > 1")
+        states, weights = np.asarray(states), np.asarray(weights)
+        if states.ndim != 2 or weights.ndim != 2:
+            raise ValueError("states and weights must be 2-D arrays")
+        if min(states.shape) < 1 or weights.shape[1] < 1:
+            raise ValueError("num_clauses, num_outputs and V must be >= 1")
+        if weights.shape[0] != states.shape[0]:
+            raise ValueError(
+                f"weights have {weights.shape[0]} rows for "
+                f"{states.shape[0]} clauses")
+        self.N, self.T, self.s = N, T, s
+        self._check_states(states)
+        self._states = states.astype(np.int32)
+        self._included = self._states > N
+        self._nonempty = self._included.any(axis=1)
+        self.weights = weights
+
+    @property
+    def states(self) -> np.ndarray:
+        return _readonly(self._states)
 
     @property
     def num_clauses(self) -> int:
-        return self.states.shape[0]
+        return self._states.shape[0]
 
     @property
     def num_literals(self) -> int:
-        return self.states.shape[1]
+        return self._states.shape[1]
 
     @property
     def num_outputs(self) -> int:
         return self.weights.shape[1]
 
     def included(self) -> np.ndarray:
-        """Boolean [num_clauses, 2V]: literal is part of the clause conjunction."""
-        return self.states > self.N
+        """Boolean [num_clauses, 2V], read-only: literal is part of the
+        clause conjunction. The bank's own mask, so it follows later writes."""
+        return _readonly(self._included)
+
+    def set_states(self, index, values) -> None:
+        """states[index] = values, for integers in [1, 2N]; refreshes the mask.
+
+        A rejected write leaves the bank unchanged.
+        """
+        values = np.asarray(values)
+        self._check_states(values)
+        self._states[index] = values
+        np.greater(self._states, self.N, out=self._included)
+        np.any(self._included, axis=1, out=self._nonempty)
+
+    def _check_states(self, states: np.ndarray) -> None:
+        if not np.issubdtype(states.dtype, np.integer):
+            raise ValueError(f"states must be integers, got {states.dtype}")
+        if states.size and (states.min() < 1 or states.max() > 2 * self.N):
+            raise ValueError(f"states must lie in [1, {2 * self.N}]")
+
+    def _set_rows(self, clauses: np.ndarray, rows: np.ndarray) -> None:
+        """The states of the given clauses, and their part of the mask."""
+        self._states[clauses] = rows
+        included = rows > self.N
+        self._included[clauses] = included
+        self._nonempty[clauses] = included.any(axis=1)
 
 
 def init_bank(num_clauses: int, num_outputs: int, V: int, N: int, T: int,
@@ -54,12 +113,6 @@ def init_bank(num_clauses: int, num_outputs: int, V: int, N: int, T: int,
     """All states at N (excluded, one step from inclusion), all weights zero."""
     if num_clauses < 1 or num_outputs < 1 or V < 1:
         raise ValueError("num_clauses, num_outputs and V must be >= 1")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if s <= 1.0:
-        raise ValueError("s must be > 1")
     states = np.full((num_clauses, 2 * V), N, dtype=np.int32)
     weights = np.zeros((num_clauses, num_outputs), dtype=np.int32)
     return ClauseBank(states=states, weights=weights, N=N, T=T, s=s)
@@ -74,17 +127,14 @@ def _check_input(bank: ClauseBank, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _clause_outputs(bank: ClauseBank, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(train-mode, infer-mode) outputs for every clause.
+def _clause_outputs(bank: ClauseBank, x_false: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(train-mode, infer-mode) outputs for every clause, given x == 0.
 
     A clause fires when every included literal is 1 in x. A clause with no
     included literals fires in train mode but not in infer mode.
     """
-    included = bank.included()
-    violated = (included & (x == 0)[None, :]).any(axis=1)
-    out_train = ~violated
-    out_infer = out_train & included.any(axis=1)
-    return out_train, out_infer
+    out_train = ~(bank._included & x_false).any(axis=1)
+    return out_train, out_train & bank._nonempty
 
 
 def clause_output(bank: ClauseBank, c: int, x, mode: str = "infer") -> int:
@@ -92,28 +142,28 @@ def clause_output(bank: ClauseBank, c: int, x, mode: str = "infer") -> int:
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     if not 0 <= c < bank.num_clauses:
         raise ValueError(f"clause id {c} out of range")
-    out_train, out_infer = _clause_outputs(bank, _check_input(bank, x))
+    out_train, out_infer = _clause_outputs(bank, _check_input(bank, x) == 0)
     return int((out_train if mode == "train" else out_infer)[c])
 
 
 def predict(bank: ClauseBank, x) -> np.ndarray:
     """Unit-step multi-output prediction; a tied vote of 0 yields 0."""
-    x = _check_input(bank, x)
-    _, out_infer = _clause_outputs(bank, x)
-    votes = bank.weights.T.astype(np.int64) @ out_infer
+    _, out_infer = _clause_outputs(bank, _check_input(bank, x) == 0)
+    votes = bank.weights[out_infer].sum(axis=0, dtype=np.int64)
     return (votes > 0).astype(np.uint8)
 
 
 def vote_sum(bank: ClauseBank, x, o: int) -> int:
     """Weighted clause vote for output o, clamped to [-T, T]."""
-    _, out_infer = _clause_outputs(bank, _check_input(bank, x))
+    _, out_infer = _clause_outputs(bank, _check_input(bank, x) == 0)
     return _clamped_vote(bank, out_infer, o)
 
 
 def _clamped_vote(bank: ClauseBank, out_infer: np.ndarray, o: int) -> int:
+    """Sum of output o's weights over the fired, non-empty clauses, clamped."""
     if not 0 <= o < bank.num_outputs:
         raise ValueError(f"output id {o} out of range")
-    v = int(bank.weights[:, o].astype(np.int64) @ out_infer)
+    v = int(bank.weights[:, o][out_infer].sum(dtype=np.int64))
     return max(-bank.T, min(bank.T, v))
 
 
@@ -133,41 +183,48 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
       q=0, silent:      nothing
 
     States saturate at [1, 2N].
+
+    Every call draws the C selection uniforms, then one [n, 2V] block of
+    uniforms for the n memorized clauses and one for the n forgotten ones,
+    in ascending clause order; with a saturated vote (selection probability
+    0) it returns after the first draw. Only the rewritten rows of the
+    include mask are refreshed.
     """
     x = _check_input(bank, x)
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
 
-    out_train, out_infer = _clause_outputs(bank, x)
+    x_false = x == 0
+    out_train, out_infer = _clause_outputs(bank, x_false)
     v = _clamped_vote(bank, out_infer, o)
     p_act = (bank.T - v) / (2 * bank.T) if q == 1 else (bank.T + v) / (2 * bank.T)
-    active = rng.random(bank.num_clauses) < p_act
+    u = rng.random(bank.num_clauses)
+    if p_act == 0:
+        return
+    active = u < p_act
 
-    x_false = x == 0
-    lo, hi = 1, 2 * bank.N
     if q == 1:
-        memorize = active & out_train
-        forget = active & ~out_train
-        n_mem = int(memorize.sum())
-        if n_mem:
-            u = rng.random((n_mem, bank.num_literals))
-            rows = bank.states[memorize]
-            rows += (~x_false)[None, :] & (u < (bank.s - 1.0) / bank.s)
-            rows -= x_false[None, :] & (u < 1.0 / bank.s)
-            np.clip(rows, lo, hi, out=rows)
-            bank.states[memorize] = rows
+        memorize = np.flatnonzero(active & out_train)
+        forget = np.flatnonzero(active & ~out_train)
+        if memorize.size:
+            u = rng.random((memorize.size, bank.num_literals))
+            rows = bank._states[memorize]
+            rows += ~x_false & (u < (bank.s - 1.0) / bank.s)
+            rows -= x_false & (u < 1.0 / bank.s)
+            np.minimum(rows, 2 * bank.N, out=rows)
+            np.maximum(rows, 1, out=rows)
+            bank._set_rows(memorize, rows)
             bank.weights[memorize, o] += 1
-        n_forget = int(forget.sum())
-        if n_forget:
-            u = rng.random((n_forget, bank.num_literals))
-            rows = bank.states[forget]
+        if forget.size:
+            u = rng.random((forget.size, bank.num_literals))
+            rows = bank._states[forget]
             rows -= u < 1.0 / bank.s
-            np.clip(rows, lo, hi, out=rows)
-            bank.states[forget] = rows
+            np.maximum(rows, 1, out=rows)
+            bank._set_rows(forget, rows)
     else:
-        invalidate = active & out_train
-        if invalidate.any():
-            rows = bank.states[invalidate]
-            rows += x_false[None, :] & (rows <= bank.N)
-            bank.states[invalidate] = rows
+        invalidate = np.flatnonzero(active & out_train)
+        if invalidate.size:
+            rows = bank._states[invalidate]
+            rows += x_false & (rows <= bank.N)
+            bank._set_rows(invalidate, rows)
             bank.weights[invalidate, o] -= 1

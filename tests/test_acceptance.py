@@ -41,7 +41,8 @@ def test_c1_predict_matches_naive_oracle_on_all_closed_inputs():
         V = 6
         for _ in range(5):
             bank = cotm.init_bank(8, 2, V, N=8, T=12, s=3.0)
-            bank.states[:] = rng.integers(1, 17, size=bank.states.shape)
+            bank.set_states(
+                np.s_[:], rng.integers(1, 17, size=bank.states.shape))
             bank.weights[:] = rng.integers(-4, 5, size=bank.weights.shape)
             states = bank.states.tolist()
             weights = bank.weights.tolist()
@@ -68,7 +69,7 @@ def test_c2_feedback_invariants():
 
         # targeted invalidation on a two-feature instance
         bank2 = cotm.init_bank(1, 1, 2, N=16, T=10, s=3.0)
-        bank2.states[0, 0] = 17  # clause {x0} matches x below
+        bank2.set_states(np.s_[0, 0], 17)  # clause {x0} matches x below
         bank2.weights[0, 0] = 1
         x = negation_closed_vector([0], 2)
         rng2 = np.random.default_rng(103)

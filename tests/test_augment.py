@@ -242,7 +242,7 @@ def test_degenerate_bank_is_constant():
     bank.weights[0, 0] = 3  # empty clause never fires at inference
     docs = vectorize([["a"], ["b"], []], vocab)
     assert predictions(bank, docs) == [0, 0, 0]
-    bank.states[0, 2] = 9  # include not-a: fires iff "a" absent
+    bank.set_states(np.s_[0, 2], 9)  # include not-a: fires iff "a" absent
     assert predictions(bank, vectorize([["b"], ["a", "b"]], vocab)) == [1, 0]
 
 

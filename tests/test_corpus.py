@@ -132,6 +132,19 @@ def test_vector_matches_the_negation_closed_union_oracle():
     assert min(seen.values()) >= 5 and len(seen) == 4
 
 
+
+def test_vector_rejects_an_id_outside_the_document_set():
+    vocab = corpus.Vocabulary.from_words(["a", "b"])
+    ds = corpus.vectorize([["a"], ["b"]], vocab)
+    for ids, bad in (([-1], -1), ([0, -2, 1], -2), ([2], 2), ([1, 0, 5], 5),
+                     (np.array([0, 2]), 2)):
+        with pytest.raises(ValueError,
+                           match=f"document id {bad} out of range for 2"):
+            ds.vector(ids)
+    assert ds.vector([]).tolist() == [0, 0, 1, 1]
+    assert ds.vector(np.empty(0, dtype=np.int64)).tolist() == [0, 0, 1, 1]
+    assert ds.vector([1, 0, 1]).tolist() == [1, 1, 0, 0]
+
 def test_determinism():
     raw = [["b", "a"], ["c", "b"], ["a"]]
     v1 = corpus.build_vocabulary(raw, 3)

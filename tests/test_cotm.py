@@ -7,7 +7,8 @@ from oracles import naive_clause_output, naive_predict, negation_closed_vector
 
 def random_bank(rng, num_clauses, num_outputs, V, N=8, T=10, s=3.0):
     bank = cotm.init_bank(num_clauses, num_outputs, V, N, T, s)
-    bank.states[:] = rng.integers(1, 2 * N + 1, size=bank.states.shape)
+    bank.set_states(
+        np.s_[:], rng.integers(1, 2 * N + 1, size=bank.states.shape))
     bank.weights[:] = rng.integers(-5, 6, size=bank.weights.shape)
     return bank
 
@@ -18,8 +19,8 @@ def test_clause_with_first_and_last_negated_literal():
     # clause {x1, not-xV} fires when both literals are 1
     V = 4
     bank = cotm.init_bank(1, 1, V, N=8, T=10, s=3.0)
-    bank.states[0, 0] = 9          # x1
-    bank.states[0, 2 * V - 1] = 9  # negation of the last feature
+    bank.set_states(np.s_[0, 0], 9)          # x1
+    bank.set_states(np.s_[0, 2 * V - 1], 9)  # negation of the last feature
     x = negation_closed_vector([0, 1], V)  # feature V-1 absent
     assert x[0] == 1 and x[2 * V - 1] == 1
     assert cotm.clause_output(bank, 0, x, "infer") == 1
@@ -68,7 +69,7 @@ def test_predict_zero_weights_gives_zeros():
 
 def test_predict_single_positive_vote():
     bank = cotm.init_bank(1, 1, 3, N=8, T=10, s=3.0)
-    bank.states[0, 1] = 9
+    bank.set_states(np.s_[0, 1], 9)
     bank.weights[0, 0] = 3
     x = negation_closed_vector([1], 3)
     assert cotm.predict(bank, x).tolist() == [1]
@@ -76,7 +77,7 @@ def test_predict_single_positive_vote():
 
 def test_predict_tie_at_zero_is_zero():
     bank = cotm.init_bank(2, 1, 2, N=8, T=10, s=3.0)
-    bank.states[:, 0] = 9
+    bank.set_states(np.s_[:, 0], 9)
     bank.weights[0, 0] = 2
     bank.weights[1, 0] = -2
     x = negation_closed_vector([0], 2)
@@ -102,14 +103,14 @@ def test_predict_matches_naive_on_all_closed_inputs():
 
 def test_vote_sum_clamps():
     bank = cotm.init_bank(1, 1, 2, N=8, T=3200, s=3.0)
-    bank.states[0, 0] = 9
+    bank.set_states(np.s_[0, 0], 9)
     bank.weights[0, 0] = 5000
     x = negation_closed_vector([0], 2)
     assert cotm.vote_sum(bank, x, 0) == 3200
     bank.weights[0, 0] = -5000
     assert cotm.vote_sum(bank, x, 0) == -3200
     bank2 = cotm.init_bank(1, 1, 2, N=8, T=10, s=3.0)
-    bank2.states[0, 0] = 9
+    bank2.set_states(np.s_[0, 0], 9)
     bank2.weights[0, 0] = -7
     assert cotm.vote_sum(bank2, x, 0) == -7
     bank2.weights[0, 0] = 0
@@ -122,7 +123,8 @@ def test_invalidation_increments_false_literal_from_boundary():
     # matching clause, q=0: an excluded false literal moves one step up
     N = 16
     bank = cotm.init_bank(1, 1, 2, N=N, T=10, s=3.0)
-    bank.states[0, 0] = N + 1  # include literal 0 so the clause matches x
+    # include literal 0 so the clause matches x
+    bank.set_states(np.s_[0, 0], N + 1)
     x = negation_closed_vector([0], 2)  # bits [1, 0, 0, 1]
     rng = np.random.default_rng(0)
     before = bank.states[0].copy()
@@ -138,7 +140,7 @@ def test_invalidation_increments_false_literal_from_boundary():
 def test_invalidation_drives_matching_clause_to_reject():
     N = 16
     bank = cotm.init_bank(1, 1, 2, N=N, T=10, s=3.0)
-    bank.states[0, 0] = N + 1
+    bank.set_states(np.s_[0, 0], N + 1)
     bank.weights[0, 0] = 1
     x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(1)
@@ -166,7 +168,7 @@ def test_large_s_leaves_false_literals_untouched_on_memorization():
 def test_states_saturate_at_upper_bound():
     N = 4
     bank = cotm.init_bank(1, 1, 2, N=N, T=10, s=1e12)
-    bank.states[0, :] = 2 * N
+    bank.set_states(np.s_[0, :], 2 * N)
     x = np.ones(4, dtype=np.uint8)  # every literal true: pure memorization
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -189,7 +191,7 @@ def test_no_reinforcement_at_the_voting_margin():
     # q=1 with the vote clamped at +T: activation probability is zero
     T = 6
     bank = cotm.init_bank(1, 1, 2, N=8, T=T, s=3.0)
-    bank.states[0, 0] = 9
+    bank.set_states(np.s_[0, 0], 9)
     bank.weights[0, 0] = T
     x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(5)
@@ -203,7 +205,7 @@ def test_no_reinforcement_at_the_voting_margin():
 def test_no_invalidation_at_negative_margin():
     T = 6
     bank = cotm.init_bank(1, 1, 2, N=8, T=T, s=3.0)
-    bank.states[0, 0] = 9
+    bank.set_states(np.s_[0, 0], 9)
     bank.weights[0, 0] = -T
     x = negation_closed_vector([0], 2)
     rng = np.random.default_rng(6)
@@ -278,6 +280,71 @@ def test_init_bank_rejects_bad_hyperparameters():
         cotm.init_bank(1, 1, 2, N=8, T=0, s=3.0)
     with pytest.raises(ValueError):
         cotm.init_bank(1, 1, 2, N=8, T=10, s=1.0)
+
+
+# ---- the states and their include mask ----
+
+def test_a_direct_write_to_the_states_or_the_mask_raises():
+    bank = cotm.init_bank(2, 1, 3, N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="read-only"):
+        bank.states[0, 0] = 9
+    with pytest.raises(ValueError, match="read-only"):
+        bank.included()[0, 0] = True
+    assert (bank.states == 8).all() and not bank.included().any()
+
+
+def test_set_states_refreshes_the_mask():
+    N = 8
+    bank = cotm.init_bank(3, 1, 2, N=N, T=10, s=3.0)
+    x = negation_closed_vector([0], 2)  # bits [1, 0, 0, 1]
+    bank.set_states(np.s_[1, [0, 3]], 9)
+    assert bank.included().tolist() == [[False] * 4,
+                                        [True, False, False, True],
+                                        [False] * 4]
+    assert [cotm.clause_output(bank, c, x) for c in range(3)] == [0, 1, 0]
+    bank.set_states(np.s_[1, 3], N)
+    bank.set_states(np.s_[2], 2 * N)
+    assert bank.included().tolist() == [[False] * 4,
+                                        [True, False, False, False],
+                                        [True] * 4]
+    assert np.array_equal(bank.included(), bank.states > N)
+    assert [cotm.clause_output(bank, c, x) for c in range(3)] == [0, 1, 0]
+    assert [cotm.clause_output(bank, c, np.ones(4), "infer")
+            for c in range(3)] == [0, 1, 1]
+
+
+@pytest.mark.parametrize("values", [0, 17, [9, 0], [17, 9], 9.0, -(2 ** 40)])
+def test_set_states_outside_the_range_raises_and_leaves_the_bank(values):
+    rng = np.random.default_rng(11)
+    bank = random_bank(rng, 3, 1, 4)
+    states, included = bank.states.copy(), bank.included().copy()
+    with pytest.raises(ValueError, match=r"states must"):
+        bank.set_states(np.s_[1, [2, 5]], values)
+    assert np.array_equal(bank.states, states)
+    assert np.array_equal(bank.included(), included)
+
+
+def test_a_bank_is_built_only_from_states_in_range_and_matching_weights():
+    states = np.full((2, 4), 8, dtype=np.int32)
+    weights = np.zeros((2, 1), dtype=np.int32)
+    bank = cotm.ClauseBank(states=states, weights=weights, N=8, T=10, s=3.0)
+    states[0, 0] = 16  # the bank holds its own copy
+    assert (bank.states == 8).all() and not bank.included().any()
+    for bad in (0, 17):
+        wrong = states.copy()
+        wrong[1, 2] = bad
+        with pytest.raises(ValueError, match=r"states must lie in \[1, 16\]"):
+            cotm.ClauseBank(states=wrong, weights=weights, N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="states must be integers"):
+        cotm.ClauseBank(states=states.astype(float), weights=weights,
+                        N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="weights have 3 rows for 2 clauses"):
+        cotm.ClauseBank(states=states, weights=np.zeros((3, 1), np.int32),
+                        N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="2-D"):
+        cotm.ClauseBank(states=states[0], weights=weights, N=8, T=10, s=3.0)
+    with pytest.raises(ValueError, match="N must be"):
+        cotm.ClauseBank(states=states, weights=weights, N=0, T=10, s=3.0)
 
 
 # ---- vector constructors ----

@@ -14,9 +14,9 @@ from oracles import (Clause, clause_tuples, load_store_fieldwise,
 
 def test_from_bank_extracts_nonzero_weight_clauses():
     bank = cotm.init_bank(3, 1, 4, N=8, T=10, s=3.0)
-    bank.states[0, [1, 6]] = 9
+    bank.set_states(np.s_[0, [1, 6]], 9)
     bank.weights[0, 0] = 2
-    bank.states[1, 3] = 9
+    bank.set_states(np.s_[1, 3], 9)
     bank.weights[1, 0] = 0   # zero weight: dropped
     bank.weights[2, 0] = -1  # empty clause, nonzero weight: kept
     k = knowledge.from_bank(bank, word=5)
@@ -37,12 +37,13 @@ def random_bank(rng):
     C, O, V, N = (int(rng.integers(1, 9)), int(rng.integers(1, 4)),
                   int(rng.integers(1, 7)), int(rng.integers(1, 9)))
     bank = cotm.init_bank(C, O, V, N=N, T=10, s=3.0)
-    bank.states[:] = rng.integers(1, 2 * N + 1, size=bank.states.shape)
+    bank.set_states(
+        np.s_[:], rng.integers(1, 2 * N + 1, size=bank.states.shape))
     bank.weights[:] = rng.integers(-3, 4, size=bank.weights.shape)
     if rng.random() < 0.5:
-        bank.states[int(rng.integers(C))] = N  # empty
+        bank.set_states(np.s_[int(rng.integers(C))], N)  # empty
     if rng.random() < 0.5:
-        bank.states[int(rng.integers(C))] = N + 1  # every literal
+        bank.set_states(np.s_[int(rng.integers(C))], N + 1)  # every literal
     return bank
 
 
@@ -144,7 +145,7 @@ def test_entries_compare_by_value():
 
 def test_entries_pickle_by_value():
     bank = cotm.init_bank(3, 1, 4, N=8, T=10, s=3.0)
-    bank.states[0, [1, 6]] = 9
+    bank.set_states(np.s_[0, [1, 6]], 9)
     bank.weights[:, 0] = [2, -1, 0]
     for k in (knowledge.from_bank(bank, 5), knowledge.WordKnowledge(1, ())):
         back = pickle.loads(pickle.dumps(k))

@@ -464,7 +464,7 @@ def test_extract_embedding_zero_bank():
 
 def test_extract_embedding_single_clause():
     bank = cotm.init_bank(1, 1, 4, N=8, T=10, s=3.0)
-    bank.states[0, [3, 7]] = 9
+    bank.set_states(np.s_[0, [3, 7]], 9)
     bank.weights[0, 0] = 2
     e = phase2.extract_embedding(bank, 0)
     assert e[3] == 2 and e[7] == 2 and e.sum() == 4
@@ -474,7 +474,7 @@ def test_extract_embedding_matches_naive_double_loop():
     rng = np.random.default_rng(8)
     for _ in range(10):
         bank = cotm.init_bank(5, 3, 4, N=8, T=10, s=3.0)
-        bank.states[:] = rng.integers(1, 17, size=bank.states.shape)
+        bank.set_states(np.s_[:], rng.integers(1, 17, size=bank.states.shape))
         bank.weights[:] = rng.integers(-4, 5, size=bank.weights.shape)
         for o in range(3):
             expected = naive_embedding(bank.states.tolist(),
@@ -485,7 +485,7 @@ def test_extract_embedding_matches_naive_double_loop():
 def test_extract_embedding_is_linear_in_weights():
     rng = np.random.default_rng(9)
     bank = cotm.init_bank(6, 1, 5, N=8, T=10, s=3.0)
-    bank.states[:] = rng.integers(1, 17, size=bank.states.shape)
+    bank.set_states(np.s_[:], rng.integers(1, 17, size=bank.states.shape))
     w1 = rng.integers(-3, 4, size=(6, 1)).astype(np.int32)
     w2 = rng.integers(-3, 4, size=(6, 1)).astype(np.int32)
     bank.weights = w1

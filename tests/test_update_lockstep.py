@@ -4,7 +4,8 @@ tests/oracles.py keeps that update verbatim, with the bank it ran on. Each
 case builds one bank, gives a copy to each side and steps both with
 generators of one seed. After every step the states, the weights and the
 generator states must be equal, so the library draws exactly the oracle's
-uniforms, in the oracle's order, and applies the same feedback.
+uniforms, in the oracle's order, and applies the same feedback; and the
+bank's include mask must equal states > N.
 """
 
 import itertools
@@ -61,6 +62,7 @@ def assert_same(bank, oracle, rng, oracle_rng):
     assert bank.states.dtype == oracle.states.dtype
     assert np.array_equal(bank.weights, oracle.weights)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert np.array_equal(bank.included(), oracle.states > oracle.N)
 
 
 @pytest.mark.parametrize("C,V", list(itertools.product((1, 2, 40, 160),

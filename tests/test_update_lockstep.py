@@ -88,9 +88,10 @@ def test_update_steps_in_lockstep_with_the_dense_oracle(C, V):
             assert_same(bank, oracle, lib_rng, oracle_rng)
 
 
-# (length change of x, output id, target bit); the first error wins
-BAD_CALLS = [(-1, 0, 1), (1, 0, 0), (-1, 5, 2), (0, 0, 2), (0, 0, -1),
-             (0, -1, 2), (0, -1, 1), (0, 2, 0), (0, 2, 1)]
+# (length change of x, or None for a [1, 2V] matrix; output id; target
+# bit); the first error wins
+BAD_CALLS = [(-1, 0, 1), (1, 0, 0), (None, 0, 1), (-1, 5, 2), (0, 0, 2),
+             (0, 0, -1), (0, -1, 2), (0, -1, 1), (0, 2, 0), (0, 2, 1)]
 
 
 @pytest.mark.parametrize("dx,o,q", BAD_CALLS)
@@ -100,8 +101,10 @@ def test_update_raises_the_oracles_errors_before_any_draw(dx, o, q):
     bank, oracle = bank_pair(random_states(rng, C, V, N, "uniform"),
                              rng.integers(-3, 4, size=(C, 2)).astype(np.int32),
                              N, 3, 2.0)
-    x = random_input(rng, V)[:2 * V + dx] if dx <= 0 else \
-        np.ones(2 * V + dx, dtype=np.uint8)
+    if dx is None:
+        x = np.ones((1, 2 * V), dtype=np.uint8)
+    else:
+        x = np.ones(2 * V + dx, dtype=np.uint8)
     lib_rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
     untouched = np.random.default_rng(9).bit_generator.state
     with pytest.raises(ValueError) as lib_err:
@@ -111,17 +114,3 @@ def test_update_raises_the_oracles_errors_before_any_draw(dx, o, q):
     assert str(lib_err.value) == str(oracle_err.value)
     assert_same(bank, oracle, lib_rng, oracle_rng)
     assert lib_rng.bit_generator.state == untouched
-
-
-def test_update_rejects_a_matrix_input_like_the_oracle():
-    rng = np.random.default_rng(4)
-    bank, oracle = bank_pair(random_states(rng, 2, 3, 4, "uniform"),
-                             np.zeros((2, 1), dtype=np.int32), 4, 3, 2.0)
-    x = np.ones((1, 6), dtype=np.uint8)
-    lib_rng, oracle_rng = np.random.default_rng(1), np.random.default_rng(1)
-    with pytest.raises(ValueError) as lib_err:
-        cotm.update(bank, x, 0, 1, lib_rng)
-    with pytest.raises(ValueError) as oracle_err:
-        dense_update(oracle, x, 0, 1, oracle_rng)
-    assert str(lib_err.value) == str(oracle_err.value)
-    assert_same(bank, oracle, lib_rng, oracle_rng)

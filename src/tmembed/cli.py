@@ -188,11 +188,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
     given = {k: v for k, v in vars(args).items() if k != "command"}
     config_path = given.pop("config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
+        try:
+            with corp.open_text(config_path) as fh:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise UsageError(f"{config_path}: {err}") from None
+        except json.JSONDecodeError as err:
+            raise UsageError(f"{config_path}: {err}") from None
+        except ValueError as err:  # not UTF-8: the message names path:line
+            raise UsageError(str(err)) from None
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{config_path}: config must be a JSON object")
         for key, value in file_cfg.items():
@@ -300,7 +302,7 @@ def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> int:
     t0 = time.monotonic()
     vocab = corp.load_vocabulary(cfg["vocab"])
     store = kn.load(cfg["knowledge"], vocab)
-    with open(cfg["targets"], encoding="utf-8") as fh:
+    with corp.open_text(cfg["targets"]) as fh:
         tokens = [line.strip() for line in fh if line.strip()]
     missing = [t for t in tokens if t not in vocab.index_of
                or vocab.index_of[t] not in store.entries]

@@ -1,9 +1,11 @@
-"""Corpus ingestion: tokenization, vocabulary construction, presence index.
+"""Corpus ingestion: tokenization, vocabulary construction, presence tables.
 
 Documents are reduced to sets of word indices. A word's frequency inside a
 single document is irrelevant; presence alone activates the feature. A
 `DocumentSet` is the one in-memory form of documents that every machine
-input is built from.
+input is built from: one CSR table from documents to their words and one
+from words to their documents. Text inputs are read as UTF-8, and a file
+that is not names its path and the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -50,28 +54,46 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.words).encode("utf-8")).digest()
 
 
+# A NumPy scalar: vector() writes it faster than a Python int.
+_ONE = np.uint8(1)
+
+
 @dataclass
 class DocumentSet:
-    """Vectorized corpus: per-document word-index sets plus the inverted index.
+    """Vectorized corpus as two CSR tables, all int64.
 
-    docs[d] is a sorted array of distinct word indices; inverted[w] is a sorted
-    array of the ids of documents containing word w.
+    Document d's sorted distinct word ids are words[ptr[d]:ptr[d + 1]], and
+    word w's ascending document ids are doc_ids[iptr[w]:iptr[w + 1]]. A
+    document with no in-vocabulary token has an empty row, as does a word
+    in no document.
     """
 
     V: int
-    docs: list[np.ndarray]
-    inverted: list[np.ndarray]
+    ptr: np.ndarray
+    words: np.ndarray
+    iptr: np.ndarray
+    doc_ids: np.ndarray
+    # ptr as Python ints: slicing with them is what keeps vector() cheap
+    _bounds: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._bounds = self.ptr.tolist()
+
+    def __reduce__(self):  # pickle the tables alone; _bounds is rebuilt
+        return DocumentSet, (self.V, self.ptr, self.words, self.iptr,
+                             self.doc_ids)
 
     @property
     def num_docs(self) -> int:
-        return len(self.docs)
+        return self.ptr.size - 1
 
     def containing(self, word: int) -> np.ndarray:
-        return self.inverted[word]
+        return self.doc_ids[self.iptr[word]:self.iptr[word + 1]]
 
     def not_containing(self, word: int) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.num_docs), self.inverted[word],
-                            assume_unique=True)
+        keep = np.ones(self.num_docs, dtype=bool)
+        keep[self.containing(word)] = False
+        return np.flatnonzero(keep)
 
     def vector(self, ids) -> np.ndarray:
         """Union the given documents' word sets into a negation-closed
@@ -86,8 +108,10 @@ class DocumentSet:
                 bad = ends[0] if ends[0] < 0 else ends[-1]
                 raise ValueError(f"document id {bad} out of range for "
                                  f"{self.num_docs} documents")
-            x[np.concatenate([self.docs[d] for d in ids])] = 1
-        x[self.V:] = 1 - x[:self.V]
+        bounds, words = self._bounds, self.words
+        for d in ids:
+            x[words[bounds[d]:bounds[d + 1]]] = _ONE
+        np.subtract(_ONE, x[:self.V], out=x[self.V:])
         return x
 
 
@@ -97,9 +121,7 @@ def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:
         raise ValueError("max_vocab must be >= 1")
     if not raw_docs:
         raise ValueError("empty corpus")
-    df: Counter[str] = Counter()
-    for doc in raw_docs:
-        df.update(set(doc))
+    df = Counter(chain.from_iterable(map(set, raw_docs)))
     if not df:
         raise ValueError("empty corpus")
     ranked = sorted(df, key=lambda w: (-df[w], w))
@@ -107,21 +129,71 @@ def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:
 
 
 def vectorize(raw_docs: list[list[str]], vocab: Vocabulary) -> DocumentSet:
-    """Map documents to in-vocabulary index sets; out-of-vocabulary tokens are dropped."""
-    index_of = vocab.index_of
-    docs = [np.array(sorted({index_of[t] for t in doc if t in index_of}),
-                     dtype=np.int64) for doc in raw_docs]
-    # a stable sort by word keeps each word's documents in ascending order
-    words = np.concatenate([np.empty(0, dtype=np.int64), *docs])
-    doc_of = np.repeat(np.arange(len(docs)), [d.size for d in docs])
-    ends = np.bincount(words, minlength=vocab.size).cumsum()
-    inv = np.split(doc_of[np.argsort(words, kind="stable")], ends[:-1])
-    return DocumentSet(V=vocab.size, docs=docs, inverted=inv)
+    """Map documents to in-vocabulary index sets; out-of-vocabulary tokens are dropped.
+
+    Both tables come from whole-corpus array passes: every token is mapped
+    to its word id in one pass, and each table sorts its (row, column) keys
+    once. The passes work in place and drop each array once it is used, so
+    the corpus-sized temporaries, and the heap they leave behind, stay small.
+    """
+    V, D = vocab.size, len(raw_docs)
+    lengths = np.fromiter(map(len, raw_docs), dtype=np.int64, count=D)
+    ids = np.fromiter(map(vocab.index_of.get, chain.from_iterable(raw_docs),
+                          repeat(-1)),
+                      dtype=np.int64, count=int(lengths.sum()))
+    keys = np.repeat(np.arange(D, dtype=np.int64) * V, lengths)
+    keys += ids
+    keys = keys[ids >= 0]
+    del ids
+    keys.sort()
+    once = np.empty(keys.size, dtype=bool)  # a word once per document
+    once[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=once[1:])
+    keys = keys[once]
+    del once
+    doc, words = np.divmod(keys, V)
+    del keys
+    ptr = np.zeros(D + 1, dtype=np.int64)
+    np.cumsum(np.bincount(doc, minlength=D), out=ptr[1:])
+    iptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(words, minlength=V), out=iptr[1:])
+    doc_ids = words * D
+    doc_ids += doc
+    del doc
+    doc_ids.sort()
+    doc_ids %= D
+    return DocumentSet(V=V, ptr=ptr, words=words, iptr=iptr, doc_ids=doc_ids)
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading. Bytes that are not UTF-8 raise
+    ValueError naming the path and the 1-based line of the first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> ValueError:
+    # Only after decoding failed: the stream's error offset is within a
+    # chunk, so the whole file is decoded again to find the line.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start]  # lines end at \n, \r\n or \r, as in text mode
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValueError(f"{path}:{line}: not UTF-8 ({err.reason}: "
+                          f"byte 0x{data[err.start]:02x})")
+    return ValueError(f"{path}: not UTF-8")
 
 
 def read_corpus(path) -> list[list[str]]:
     """One document per line, UTF-8; returns tokenized documents."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [tokenize(line) for line in fh]
 
 
@@ -129,7 +201,7 @@ def read_labels(path) -> list[int]:
     """One 0/1 label per line, aligned with the corpus file; blank lines are
     skipped. A bad label raises ValueError naming its path and line."""
     labels = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 if line.strip():
@@ -149,6 +221,6 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         words = [line.rstrip("\n") for line in fh]
     return Vocabulary.from_words([w for w in words if w])

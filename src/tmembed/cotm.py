@@ -225,6 +225,6 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
         invalidate = np.flatnonzero(active & out_train)
         if invalidate.size:
             rows = bank._states[invalidate]
-            rows += x_false & (rows <= bank.N)
+            rows += x_false  # a firing clause includes no false literal
             bank._set_rows(invalidate, rows)
             bank.weights[invalidate, o] -= 1

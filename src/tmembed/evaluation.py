@@ -12,6 +12,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .corpus import open_text
+
 REPORT_HEADER = "# C column: mean cosine of model scores over evaluable pairs"
 
 
@@ -64,7 +66,7 @@ class WordPairBenchmark:
 def load_benchmark(path, name: str | None = None) -> WordPairBenchmark:
     """One pair per line: word_a<TAB>word_b<TAB>score."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, open_text
 from .cotm import ClauseBank, init_bank, update
 from .knowledge import NO_CLAUSES, KnowledgeStore, filter_by_polarity
 from .phase1 import Phase1Config
@@ -293,7 +293,7 @@ def load_embeddings(path, num_literals: int | None = None
     first_line: dict[str, int] = {}
     width = num_literals or 0
     dense_width = dense_line = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split(None, 1)
             if not parts:

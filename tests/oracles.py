@@ -88,6 +88,11 @@ def naive_predict(states, weights, N, x):
     return y
 
 
+def csr_rows(ptr, values):
+    """Every row of a CSR table: row i is values[ptr[i]:ptr[i + 1]]."""
+    return [values[ptr[i]:ptr[i + 1]] for i in range(len(ptr) - 1)]
+
+
 def eligible_documents(doc_sets, word, q):
     """Brute-force scan for supporting (q=1) / non-supporting (q=0) documents."""
     return [d for d, words in enumerate(doc_sets) if (word in words) == bool(q)]
@@ -369,16 +374,17 @@ def build_x_from_documents(ds, word, q, a, rng, pools=None):
 
     picked = pick_documents(ds, word, q, a, rng, pools)
     if picked.size:
-        features = np.unique(np.concatenate([ds.docs[d] for d in picked]))
+        docs = csr_rows(ds.ptr, ds.words)
+        features = np.unique(np.concatenate([docs[d] for d in picked]))
     else:
         features = ()
     return negation_closed_vector(features, ds.V)
 
 
 def vectorize_loopwise(raw_docs, vocab):
-    """Map documents to in-vocabulary index sets; out-of-vocabulary tokens are dropped."""
-    from tmembed.corpus import DocumentSet
-
+    """Each document's sorted in-vocabulary word ids and each word's
+    ascending document ids, as two lists of int64 arrays; out-of-vocabulary
+    tokens are dropped."""
     index_of = vocab.index_of
     docs = []
     inverted: list[list[int]] = [[] for _ in range(vocab.size)]
@@ -389,7 +395,7 @@ def vectorize_loopwise(raw_docs, vocab):
         for w in idx:
             inverted[w].append(d)
     inv = [np.array(ids, dtype=np.int64) for ids in inverted]
-    return DocumentSet(V=vocab.size, docs=docs, inverted=inv)
+    return docs, inv
 
 
 # The clause bank and its update as they were before the bank kept its

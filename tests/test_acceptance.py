@@ -19,8 +19,8 @@ from tmembed.corpus import Vocabulary, vectorize
 from tmembed.phase1 import Phase1Config
 
 from conftest import make_store
-from oracles import (eligible_documents, naive_predict, negation_closed_vector,
-                     two_level_union)
+from oracles import (csr_rows, eligible_documents, naive_predict,
+                     negation_closed_vector, two_level_union)
 from test_phase2 import random_toy_store
 
 
@@ -102,7 +102,7 @@ def test_c4_document_pick_count_bound():
                     rng.integers(0, V, size=rng.integers(1, 5))]
                    for _ in range(rng.integers(2, 12))]
             ds = vectorize(raw, vocab)
-            doc_sets = [set(d.tolist()) for d in ds.docs]
+            doc_sets = [set(d.tolist()) for d in csr_rows(ds.ptr, ds.words)]
             for _ in range(50):
                 word = int(rng.integers(V))
                 q = int(rng.integers(2))

@@ -627,3 +627,83 @@ def test_phase1_word_rejects_every_cut_of_the_store(workdir, capsys):
         assert store_path.read_bytes() == data[:n]
     assert sorted(p.name for p in tmp.iterdir()) == [
         "corpus.txt", "k.tmk", "k.tmk.manifest.json", "targets.txt", "v.txt"]
+
+
+@pytest.fixture(scope="module")
+def text_inputs(tmp_path_factory):
+    """One valid input of every text kind a command reads, by name."""
+    tmp = tmp_path_factory.mktemp("text_inputs")
+    corpus = tmp / "corpus.txt"
+    corpus.write_text("\n".join(["sun moon star"] * 10
+                                + ["car road fuel"] * 10) + "\n")
+    targets = tmp / "targets.txt"
+    targets.write_text("sun\nmoon\ncar\n")
+    store, vocab_file, emb = pipeline(tmp, corpus, targets)
+    bench = tmp / "pairs.tsv"
+    bench.write_text("sun\tmoon\t9.0\nsun\tcar\t1.0\nmoon\tcar\t2.0\n")
+    vocab, paths, svocab = sentiment_files(tmp)
+    semb = tmp / "sent_emb.txt"
+    sentiment_embeddings(vocab, semb)
+    config = tmp / "config.json"
+    config.write_text('{\n  "seed": 1\n}\n')
+    return {"corpus": corpus, "targets": targets, "store": store,
+            "vocab": vocab_file, "emb": emb, "bench": bench,
+            "train": paths["train"][0], "train_labels": paths["train"][1],
+            "test": paths["test"][0], "test_labels": paths["test"][1],
+            "svocab": svocab, "semb": semb, "config": config}
+
+
+# Each command's arguments; "@name" stands for the text input of that name.
+TEXT_COMMANDS = {
+    "vocab": ["vocab", "@corpus"],
+    "phase1": ["phase1", "@corpus", "--vocab", "@vocab"] + FAST,
+    "phase2": ["phase2", "@store", "@targets", "--vocab", "@vocab"] + FAST,
+    "eval": ["eval", "@emb", "@bench"],
+    "augment": ["augment", "@train", "@train_labels", "--vocab", "@svocab",
+                "--embeddings", "@semb"],
+    "classify": ["classify", "--train", "@train", "--train-labels",
+                 "@train_labels", "--test", "@test", "--test-labels",
+                 "@test_labels", "--vocab", "@svocab", "--clauses", "4",
+                 "--epochs", "1"],
+}
+
+
+def run_with_a_bad_byte(text_inputs, tmp_path, command, name, extra=()):
+    """Run the command with a 0xff byte at the end of line 2 of one input,
+    a copy of the named one; returns the copy's path."""
+    bad = tmp_path / text_inputs[name].name
+    lines = text_inputs[name].read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    bad.write_bytes(b"\n".join(lines))
+    files = {**text_inputs, name: bad}
+    argv = [files[a[1:]] if a.startswith("@") else a
+            for a in TEXT_COMMANDS[command] + list(extra)]
+    return bad, run(argv + ["--out", tmp_path / "out"])
+
+
+@pytest.mark.parametrize("command, name", [
+    ("vocab", "corpus"), ("phase1", "corpus"), ("phase1", "vocab"),
+    ("phase2", "targets"), ("phase2", "vocab"), ("eval", "emb"),
+    ("eval", "bench"), ("augment", "train"), ("augment", "train_labels"),
+    ("augment", "svocab"), ("augment", "semb"), ("classify", "train"),
+    ("classify", "train_labels"), ("classify", "test"),
+    ("classify", "svocab")])
+def test_input_that_is_not_utf8_names_its_path_and_line(
+        text_inputs, tmp_path, capsys, command, name):
+    bad, code = run_with_a_bad_byte(text_inputs, tmp_path, command, name)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:2: not UTF-8 (invalid start byte: byte 0xff)" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_COMMANDS))
+def test_config_file_that_is_not_utf8_is_usage_error(
+        text_inputs, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_with_a_bad_byte(text_inputs, tmp_path, command, "config",
+                            ["--config", "@config"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'config.json'}:2: not UTF-8" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()

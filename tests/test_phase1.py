@@ -8,7 +8,7 @@ from tmembed import knowledge, phase1
 from tmembed.corpus import Vocabulary, vectorize
 from tmembed.knowledge import WordKnowledge, filter_by_polarity
 import oracles
-from oracles import clause_tuples, eligible_documents
+from oracles import clause_tuples, csr_rows, eligible_documents
 
 
 DESK = dict(r=150, a=5, epochs=3, num_clauses=20, T=20, s=3.0, N=32)
@@ -76,7 +76,7 @@ def test_picked_count_equals_min_of_window_and_eligible():
         word = int(rng.integers(V))
         q = int(rng.integers(2))
         a = int(rng.integers(1, 6))
-        doc_sets = [set(d.tolist()) for d in ds.docs]
+        doc_sets = [set(d.tolist()) for d in csr_rows(ds.ptr, ds.words)]
         eligible = eligible_documents(doc_sets, word, q)
         if not eligible:
             with pytest.raises(ValueError):

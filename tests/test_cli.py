@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -100,6 +101,8 @@ def test_phase2_missing_target_word(workdir, capsys):
                 "--out", tmp / "x.txt"] + FAST)
     assert code == 1
     assert "volcano" in capsys.readouterr().err
+    assert not (tmp / "x.txt").exists()
+    assert not (tmp / "x.txt.manifest.json").exists()
 
 
 def test_phase2_vocabulary_mismatch(workdir):
@@ -132,6 +135,84 @@ def test_phase2_reports_skipped_examples(tmp_path, capsys):
     assert f"skipped 'w1': {skips}" in err and "'w0'" not in err
     manifest = json.loads((tmp_path / "emb.txt.manifest.json").read_text())
     assert (manifest["attempts"], manifest["skips"]) == (attempts, skips)
+
+
+MANIFEST_KEYS = {"command", "config", "seed", "input_digests", "output_paths",
+                 "wall_time_s"}
+
+
+def assert_manifest(out, command, seed, inputs, outputs, **extra):
+    """The manifest beside out names the command, its seed, every input
+    with its sha256, every output in order, and the command's extras."""
+    manifest = json.loads((out.parent / (out.name + ".manifest.json")).read_text())
+    assert set(manifest) == MANIFEST_KEYS | set(extra)
+    assert (manifest["command"], manifest["seed"]) == (command, seed)
+    assert manifest["input_digests"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+    assert manifest["output_paths"] == [str(p) for p in outputs]
+    assert manifest["wall_time_s"] >= 0
+    assert {key: manifest[key] for key in extra} == extra
+
+
+def test_every_command_writes_its_manifest(workdir, capsys):
+    tmp, corpus_path, targets = workdir
+    vocab_file, store, emb = tmp / "vocab.txt", tmp / "k.tmk", tmp / "emb.txt"
+    assert run(["vocab", corpus_path, "--max-vocab", 6, "--out", vocab_file]) == 0
+    assert_manifest(vocab_file, "vocab", None, [corpus_path], [vocab_file])
+
+    assert run(["phase1", corpus_path, "--vocab-size", 6, "--seed", 5,
+                "--out", store] + FAST) == 0
+    assert_manifest(store, "phase1", 5, [corpus_path],
+                    [store, tmp / "k.tmk.vocab"])
+    assert run(["phase1", corpus_path, "--vocab", vocab_file, "--seed", 5,
+                "--vocab-out", tmp / "v.txt", "--out", store] + FAST) == 0
+    assert_manifest(store, "phase1", 5, [corpus_path, vocab_file],
+                    [store, tmp / "v.txt"])
+    assert run(["phase1", corpus_path, "--vocab", vocab_file, "--word", "sun",
+                "--seed", 6, "--out", store] + FAST) == 0
+    assert_manifest(store, "phase1", 6, [corpus_path, vocab_file], [store])
+
+    capsys.readouterr()
+    assert run(["phase2", store, targets, "--vocab", vocab_file, "--seed", 7,
+                "--out", emb] + FAST) == 0
+    skips, attempts = map(int, re.search(
+        r"phase 2: (\d+)/(\d+) word examples skipped",
+        capsys.readouterr().err).groups())
+    assert attempts == 40 * 2 * 3
+    assert_manifest(emb, "phase2", 7, [store, targets, vocab_file], [emb],
+                    attempts=attempts, skips=skips)
+
+    # a benchmark that is skipped is not an input
+    good, bad = tmp / "good.tsv", tmp / "bad.tsv"
+    good.write_text("sun\tmoon\t9.0\nsun\tcar\t1.0\nmoon\tcar\t2.0\n")
+    bad.write_text("not a benchmark\n")
+    report = tmp / "report.txt"
+    assert run(["eval", emb, bad, good, "--out", report]) == 0
+    assert_manifest(report, "eval", None, [emb, good], [report])
+
+    vocab, paths, svocab = sentiment_files(tmp)
+    (train, train_labels), (test, test_labels) = paths["train"], paths["test"]
+    semb, augmented = tmp / "sent_emb.txt", tmp / "aug.txt"
+    sentiment_embeddings(vocab, semb)
+    assert run(["augment", train, train_labels, "--vocab", svocab,
+                "--embeddings", semb, "--seed", 8, "--out", augmented]) == 0
+    assert_manifest(augmented, "augment", 8,
+                    [train, train_labels, svocab, semb],
+                    [augmented, tmp / "aug.txt.labels"])
+
+    acc = tmp / "acc.txt"
+    classify = ["classify", "--train", train, "--train-labels", train_labels,
+                "--test", test, "--test-labels", test_labels, "--vocab",
+                svocab, "--clauses", 4, "--T", 4, "--epochs", 1, "--seed", 9,
+                "--out", acc]
+    assert run(classify) == 0
+    assert_manifest(acc, "classify", 9,
+                    [train, train_labels, svocab, test, test_labels], [acc])
+    assert run(classify + ["--extra", augmented, "--extra-labels",
+                           tmp / "aug.txt.labels"]) == 0
+    assert_manifest(acc, "classify", 9,
+                    [train, train_labels, svocab, test, test_labels,
+                     augmented, tmp / "aug.txt.labels"], [acc])
 
 
 def test_eval_command_reports_fixture_scores(workdir, capsys):
@@ -177,6 +258,7 @@ def test_eval_skips_unreadable_benchmark(workdir, capsys):
     assert run(["eval", emb_path, bad, good, "--out", out]) == 0
     assert "skipping" in capsys.readouterr().err
     assert run(["eval", emb_path, bad, "--out", tmp / "r2.txt"]) == 1
+    assert not (tmp / "r2.txt.manifest.json").exists()
 
 
 def sentiment_files(tmp):
@@ -294,6 +376,7 @@ def test_classify_with_an_empty_test_set_fails(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: no documents to score\n"
     assert not report.exists()
+    assert not (tmp_path / "r.txt.manifest.json").exists()
 
 
 @pytest.mark.parametrize("text, line, message", [
@@ -694,7 +777,9 @@ def test_input_that_is_not_utf8_names_its_path_and_line(
     assert code == 1
     err = capsys.readouterr().err
     assert f"{bad}:2: not UTF-8 (invalid start byte: byte 0xff)" in err
-    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    assert "Traceback" not in err
+    # no output and no manifest: the bad copy is all there is
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]
 
 
 @pytest.mark.parametrize("command", sorted(TEXT_COMMANDS))

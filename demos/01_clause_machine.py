@@ -8,7 +8,7 @@ learned conjunctive clauses back out.
 import numpy as np
 
 from tmembed.corpus import Vocabulary, vectorize
-from tmembed.cotm import init_bank, predict, update, vote_sum
+from tmembed.cotm import clause_output, init_bank, predict, update
 from tmembed.knowledge import from_bank
 
 vocab = Vocabulary.from_words(["apple", "pear", "iron", "copper"])
@@ -31,7 +31,9 @@ probes = vectorize([["apple"], ["copper"]], vocab)
 for d, word in enumerate(["apple", "copper"]):
     probe = probes.vector([d])
     print("input:", word)
-    print("  votes:", [vote_sum(bank, probe, o) for o in range(2)])
+    # each output's vote: its weights summed over the clauses that fire
+    fired = [clause_output(bank, c, probe) for c in range(bank.num_clauses)]
+    print("  votes:", bank.weights[np.flatnonzero(fired)].sum(axis=0).tolist())
     print("  prediction (fruit, metal):", predict(bank, probe))
 
 

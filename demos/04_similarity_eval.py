@@ -8,7 +8,7 @@ embedding rows; agreement is summarized by Spearman and Kendall tau-b.
 from tmembed.corpus import build_vocabulary, vectorize
 from tmembed.evaluation import WordPairBenchmark, evaluate, format_reports
 from tmembed.phase1 import Phase1Config, train_all
-from tmembed.phase2 import token_vectors, train_embedding
+from tmembed.phase2 import train_embedding
 
 raw_docs = [
     "driver road traffic car".split(),
@@ -38,5 +38,7 @@ bench = WordPairBenchmark(name="toy-pairs", pairs=(
     ("car", "spaceship", 5.0),  # not in the vocabulary: excluded, coverage drops
 ))
 
-report = evaluate(token_vectors(emb, vocab), bench)
+# emb.rows[i] is the embedding of word emb.words[i]
+vectors = {vocab.words[w]: row for w, row in zip(emb.words, emb.rows)}
+report = evaluate(vectors, bench)
 print(format_reports([report]))

@@ -3,8 +3,7 @@ similarity evaluation, and embedding-driven data augmentation."""
 
 from .corpus import (DocumentSet, Vocabulary, build_vocabulary, read_corpus,
                      tokenize, vectorize)
-from .cotm import (ClauseBank, clause_output, init_bank, predict, update,
-                   vote_sum)
+from .cotm import ClauseBank, clause_output, init_bank, predict, update
 from .knowledge import (ClauseArrays, KnowledgeStore, WordKnowledge,
                         filter_by_polarity, from_bank)
 from .phase1 import Phase1Config, build_x_from_documents, train_all, train_word

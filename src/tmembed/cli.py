@@ -252,17 +252,19 @@ def _load_labeled(corpus_path, labels_path) -> tuple[list[list[str]], list[int]]
     return raw, labels
 
 
-def cmd_vocab(cfg: dict, _: None) -> int:
-    t0 = time.monotonic()
+# Each command returns its manifest's input paths, output paths and extra
+# fields; `main` writes the manifest once the command has succeeded.
+Ran = tuple[list[str], list[str], dict]
+
+
+def cmd_vocab(cfg: dict, _: None) -> Ran:
     vocab = corp.build_vocabulary(corp.read_corpus(cfg["corpus"]), cfg["max_vocab"])
     corp.save_vocabulary(vocab, cfg["out"])
-    _write_manifest("vocab", cfg, [cfg["corpus"]], [cfg["out"]], t0)
     print(f"vocabulary: {vocab.size} words -> {cfg['out']}")
-    return 0
+    return [cfg["corpus"]], [cfg["out"]], {}
 
 
-def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> int:
-    t0 = time.monotonic()
+def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> Ran:
     raw = corp.read_corpus(cfg["corpus"])
     inputs = [cfg["corpus"]]
     if cfg["vocab"]:
@@ -274,7 +276,6 @@ def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> int:
     # Training needs only ds; freed token lists stay out of the memory that
     # forked Phase-1 workers inherit.
     del raw
-    outputs = [cfg["out"]]
     if cfg["word"] is not None:
         token = cfg["word"]
         if token not in vocab.index_of:
@@ -283,23 +284,20 @@ def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> int:
         kn.replace_word(cfg["out"], vocab, w,
                         lambda: p1.train_or_error(ds, w, p1cfg))
         print(f"retrained {token!r} -> {cfg['out']}")
-    else:
-        store = p1.train_all(ds, vocab, p1cfg, parallelism=cfg["jobs"])
-        kn.save(store, cfg["out"])
-        vocab_out = cfg["vocab_out"] or cfg["out"] + ".vocab"
-        corp.save_vocabulary(vocab, vocab_out)
-        outputs.append(vocab_out)
-        trained = len(store.entries) - len(store.failures)
-        print(f"knowledge: {trained}/{vocab.size} words trained "
-              f"({len(store.failures)} failed) -> {cfg['out']}")
-        for w, msg in sorted(store.failures.items()):
-            print(f"  failed {vocab.words[w]!r}: {msg}", file=sys.stderr)
-    _write_manifest("phase1", cfg, inputs, outputs, t0)
-    return 0
+        return inputs, [cfg["out"]], {}
+    store = p1.train_all(ds, vocab, p1cfg, parallelism=cfg["jobs"])
+    kn.save(store, cfg["out"])
+    vocab_out = cfg["vocab_out"] or cfg["out"] + ".vocab"
+    corp.save_vocabulary(vocab, vocab_out)
+    trained = len(store.entries) - len(store.failures)
+    print(f"knowledge: {trained}/{vocab.size} words trained "
+          f"({len(store.failures)} failed) -> {cfg['out']}")
+    for w, msg in sorted(store.failures.items()):
+        print(f"  failed {vocab.words[w]!r}: {msg}", file=sys.stderr)
+    return inputs, [cfg["out"], vocab_out], {}
 
 
-def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> int:
-    t0 = time.monotonic()
+def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> Ran:
     vocab = corp.load_vocabulary(cfg["vocab"])
     store = kn.load(cfg["knowledge"], vocab)
     with corp.open_text(cfg["targets"]) as fh:
@@ -312,20 +310,16 @@ def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> int:
     stats = p2.Phase2Stats()
     _, emb = p2.train_embedding(store, targets, p2cfg, stats)
     p2.save_embeddings(emb, vocab, cfg["out"], sparse=cfg["sparse"])
-    _write_manifest("phase2", cfg,
-                    [cfg["knowledge"], cfg["targets"], cfg["vocab"]],
-                    [cfg["out"]], t0, attempts=stats.attempts,
-                    skips=stats.skips)
     print(f"embeddings: {len(targets)} words -> {cfg['out']}")
     print(f"phase 2: {stats.skips}/{stats.attempts} word examples skipped",
           file=sys.stderr)
     for w, n in stats.skipped_words.most_common(5):
         print(f"  skipped {vocab.words[w]!r}: {n}", file=sys.stderr)
-    return 0
+    return ([cfg["knowledge"], cfg["targets"], cfg["vocab"]], [cfg["out"]],
+            {"attempts": stats.attempts, "skips": stats.skips})
 
 
-def cmd_eval(cfg: dict, _: None) -> int:
-    t0 = time.monotonic()
+def cmd_eval(cfg: dict, _: None) -> Ran:
     tokens, rows = p2.load_embeddings(cfg["embeddings"])
     vectors = {t: rows[i] for i, t in enumerate(tokens)}
     reports = []
@@ -343,12 +337,10 @@ def cmd_eval(cfg: dict, _: None) -> int:
     with open(cfg["out"], "w", encoding="utf-8") as fh:
         fh.write(text)
     sys.stdout.write(text)
-    _write_manifest("eval", cfg, loaded, [cfg["out"]], t0)
-    return 0
+    return loaded, [cfg["out"]], {}
 
 
-def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> int:
-    t0 = time.monotonic()
+def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> Ran:
     vocab = corp.load_vocabulary(cfg["vocab"])
     docs, labels = _load_labeled(cfg["corpus"], cfg["labels"])
     tokens, rows = p2.load_embeddings(cfg["embeddings"], num_literals=2 * vocab.size)
@@ -364,15 +356,12 @@ def cmd_augment(cfg: dict, acfg: aug.AugmentConfig) -> int:
     with open(labels_out, "w", encoding="utf-8") as fh:
         for label in labels:
             fh.write(f"{label}\n")
-    _write_manifest("augment", cfg,
-                    [cfg["corpus"], cfg["labels"], cfg["vocab"], cfg["embeddings"]],
-                    [cfg["out"], labels_out], t0)
     print(f"augmented {len(augmented)} documents -> {cfg['out']}")
-    return 0
+    return ([cfg["corpus"], cfg["labels"], cfg["vocab"], cfg["embeddings"]],
+            [cfg["out"], labels_out], {})
 
 
-def cmd_classify(cfg: dict, ccfg: aug.ClassifierConfig) -> int:
-    t0 = time.monotonic()
+def cmd_classify(cfg: dict, ccfg: aug.ClassifierConfig) -> Ran:
     vocab = corp.load_vocabulary(cfg["vocab"])
     train_raw, train_labels = _load_labeled(cfg["train"], cfg["train_labels"])
     inputs = [cfg["train"], cfg["train_labels"], cfg["vocab"],
@@ -393,8 +382,7 @@ def cmd_classify(cfg: dict, ccfg: aug.ClassifierConfig) -> int:
     with open(cfg["out"], "w", encoding="utf-8") as fh:
         fh.write(text)
     sys.stdout.write(text)
-    _write_manifest("classify", cfg, inputs, [cfg["out"]], t0)
-    return 0
+    return inputs, [cfg["out"]], {}
 
 
 COMMANDS = {
@@ -415,11 +403,14 @@ def main(argv=None) -> int:
         config = build_config(args.command, cfg)
     except UsageError as err:
         parser.error(str(err))
+    t0 = time.monotonic()
     try:
-        return COMMANDS[args.command](cfg, config)
+        inputs, outputs, extra = COMMANDS[args.command](cfg, config)
+        _write_manifest(args.command, cfg, inputs, outputs, t0, **extra)
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

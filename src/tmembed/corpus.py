@@ -119,8 +119,6 @@ def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:
     """Keep the max_vocab tokens with highest document frequency, ties lexicographic."""
     if max_vocab < 1:
         raise ValueError("max_vocab must be >= 1")
-    if not raw_docs:
-        raise ValueError("empty corpus")
     df = Counter(chain.from_iterable(map(set, raw_docs)))
     if not df:
         raise ValueError("empty corpus")

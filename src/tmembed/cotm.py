@@ -153,27 +153,14 @@ def predict(bank: ClauseBank, x) -> np.ndarray:
     return (votes > 0).astype(np.uint8)
 
 
-def vote_sum(bank: ClauseBank, x, o: int) -> int:
-    """Weighted clause vote for output o, clamped to [-T, T]."""
-    _, out_infer = _clause_outputs(bank, _check_input(bank, x) == 0)
-    return _clamped_vote(bank, out_infer, o)
-
-
-def _clamped_vote(bank: ClauseBank, out_infer: np.ndarray, o: int) -> int:
-    """Sum of output o's weights over the fired, non-empty clauses, clamped."""
-    if not 0 <= o < bank.num_outputs:
-        raise ValueError(f"output id {o} out of range")
-    v = int(bank.weights[:, o][out_infer].sum(dtype=np.int64))
-    return max(-bank.T, min(bank.T, v))
-
-
 def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> None:
     """One training step on output o with target bit q.
 
     Each clause is selected independently with probability
-    (T - clamp(v)) / 2T when q=1, (T + clamp(v)) / 2T when q=0, where v is the
-    clamped vote sum for o. Selected clauses receive one of three updates keyed
-    on their train-mode output:
+    (T - clamp(v)) / 2T when q=1, (T + clamp(v)) / 2T when q=0, where v is
+    the sum of o's weights over the fired, non-empty clauses, clamped to
+    [-T, T]. Selected clauses receive one of three updates keyed on their
+    train-mode output:
 
       q=1, fires:       memorize true literals w.p. (s-1)/s, forget false ones
                         w.p. 1/s; weight[o] += 1
@@ -193,10 +180,13 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
     x = _check_input(bank, x)
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
+    if not 0 <= o < bank.num_outputs:
+        raise ValueError(f"output id {o} out of range")
 
     x_false = x == 0
     out_train, out_infer = _clause_outputs(bank, x_false)
-    v = _clamped_vote(bank, out_infer, o)
+    v = int(bank.weights[:, o][out_infer].sum(dtype=np.int64))
+    v = max(-bank.T, min(bank.T, v))
     p_act = (bank.T - v) / (2 * bank.T) if q == 1 else (bank.T + v) / (2 * bank.T)
     u = rng.random(bank.num_clauses)
     if p_act == 0:

@@ -191,15 +191,6 @@ def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
     return _U32.pack(len(payload)) + payload
 
 
-def as_entry(word: int, result: WordKnowledge | ValueError
-             ) -> tuple[WordKnowledge, str | None]:
-    """A word's training result as its store entry and failure message:
-    a failure becomes an empty entry plus the error's text."""
-    if isinstance(result, ValueError):
-        return WordKnowledge(word, NO_CLAUSES), str(result)
-    return result, None
-
-
 def _write_atomic(path, parts) -> None:
     """Write the concatenated parts to path via a temp file + rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -314,20 +305,22 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
 
 
 def replace_word(path, vocab: Vocabulary, word: int,
-                 train: Callable[[], WordKnowledge | ValueError]) -> None:
-    """Put train()'s result for word into the store at path, in place.
+                 train: Callable[[], tuple[WordKnowledge, str | None]]) -> None:
+    """Put the (entry, failure message) that train() returns for word into
+    the store at path, in place.
 
     The store is checked whole before train runs. The word's record is
     replaced, or inserted in word order; every other record's bytes are
     copied unchanged. The file written is byte for byte what `save` writes
-    for the loaded store after `as_entry(word, train())`.
+    for the loaded store with that entry, and with the message as the word's
+    failure (or no failure, when it is None).
     """
     with open(path, "rb") as fh:
         data = fh.read()
     spans = [(k.word, start, end) for start, end, _, k in _walk(data, vocab)]
     if not 0 <= word < vocab.size:
         raise ValueError(f"word index {word} out of range")
-    record = _pack_record(word, *as_entry(word, train()), vocab.size)
+    record = _pack_record(word, *train(), vocab.size)
     i = bisect_left(spans, (word,))
     replaced = i < len(spans) and spans[i][0] == word
     start = spans[i][1] if i < len(spans) else len(data)

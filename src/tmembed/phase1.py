@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import DocumentSet, Vocabulary
 from .cotm import init_bank, update
-from .knowledge import KnowledgeStore, WordKnowledge, as_entry, from_bank
+from .knowledge import NO_CLAUSES, KnowledgeStore, WordKnowledge, from_bank
 
 
 @dataclass(frozen=True)
@@ -106,26 +106,19 @@ def _init_worker(ds: DocumentSet) -> None:
     _worker_ds = ds
 
 
-def train_or_error(ds: DocumentSet, word: int,
-                   cfg: Phase1Config) -> WordKnowledge | ValueError:
+def train_or_error(ds: DocumentSet, word: int, cfg: Phase1Config
+                   ) -> tuple[WordKnowledge, str | None]:
+    """A word's store entry and failure message: a word whose training fails
+    becomes an empty entry plus the error's text."""
     try:
-        return train_word(ds, word, cfg)
+        return train_word(ds, word, cfg), None
     except ValueError as err:
-        return err
+        return WordKnowledge(word, NO_CLAUSES), str(err)
 
 
-def _train_in_worker(word: int, cfg: Phase1Config) -> WordKnowledge | ValueError:
+def _train_in_worker(word: int, cfg: Phase1Config
+                     ) -> tuple[WordKnowledge, str | None]:
     return train_or_error(_worker_ds, word, cfg)
-
-
-def record_result(store: KnowledgeStore, word: int,
-                  result: WordKnowledge | ValueError) -> None:
-    """Store a word's knowledge, or an empty entry plus its failure message."""
-    store.entries[word], msg = as_entry(word, result)
-    if msg is None:
-        store.failures.pop(word, None)
-    else:
-        store.failures[word] = msg
 
 
 def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
@@ -147,6 +140,8 @@ def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
             results = list(pool.map(_train_in_worker, words, repeat(cfg)))
     else:
         results = [train_or_error(ds, w, cfg) for w in words]
-    for w, result in zip(words, results):
-        record_result(store, w, result)
+    for w, (entry, msg) in zip(words, results):
+        store.entries[w] = entry
+        if msg is not None:
+            store.failures[w] = msg
     return store

@@ -37,11 +37,12 @@ class EmbeddingMatrix:
 
 @dataclass
 class Phase2Stats:
-    """Optional training telemetry: shuffle positions and per-word skip counts."""
+    """Training telemetry: word-examples attempted and skipped, and the skips
+    per target word. `train_embedding` counts into the stats it is given,
+    which should start at zero."""
 
     attempts: int = 0
     skips: int = 0
-    position_counts: np.ndarray | None = None
     skipped_words: Counter = field(default_factory=Counter)
 
 
@@ -212,10 +213,12 @@ def train_embedding(store: KnowledgeStore, targets, cfg: Phase1Config,
 
     Per example the targets are shuffled and a single q is drawn; each word's
     expanded vector updates only that word's output. Words whose expansion
-    fails (missing polarity knowledge) are skipped and counted; a skip rate
-    above 50% aborts.
+    fails (missing polarity knowledge) are skipped and counted into stats; a
+    skip rate above 50% aborts.
     """
     targets = tuple(int(w) for w in targets)
+    if not targets:
+        raise ValueError("no target words")
     if len(set(targets)) != len(targets):
         raise ValueError("duplicate target words")
     for w in targets:
@@ -225,41 +228,28 @@ def train_embedding(store: KnowledgeStore, targets, cfg: Phase1Config,
     index = PolarityIndex(store)
     rng = np.random.default_rng(cfg.seed)
     bank = init_bank(cfg.num_clauses, k, store.V, cfg.N, cfg.T, cfg.s)
-    if stats is not None and stats.position_counts is None:
-        stats.position_counts = np.zeros((k, k), dtype=np.int64)
-    attempts = 0
-    skips = 0
-    skipped: Counter = Counter()
+    if stats is None:
+        stats = Phase2Stats()
     for _ in range(cfg.epochs):
         for _ in range(cfg.r):
             order = rng.permutation(k)
             q = int(rng.integers(2))
-            for pos, oi in enumerate(order):
-                if stats is not None:
-                    stats.position_counts[oi, pos] += 1
-                attempts += 1
+            for oi in order:
+                stats.attempts += 1
                 try:
                     x = build_x_phase2(store, targets[oi], q, cfg.a, rng, index)
                 except ValueError:
-                    skips += 1
-                    skipped[targets[oi]] += 1
+                    stats.skips += 1
+                    stats.skipped_words[targets[oi]] += 1
                     continue
                 update(bank, x, int(oi), q, rng)
-        if skips * 2 > attempts:
+        if stats.skips * 2 > stats.attempts:
             raise RuntimeError(
-                f"phase 2 aborted: {skips}/{attempts} word examples skipped "
-                f"(worst offenders: {skipped.most_common(5)})")
-    if stats is not None:
-        stats.attempts = attempts
-        stats.skips = skips
-        stats.skipped_words = skipped
+                f"phase 2 aborted: {stats.skips}/{stats.attempts} word "
+                f"examples skipped (worst offenders: "
+                f"{stats.skipped_words.most_common(5)})")
     rows = np.stack([extract_embedding(bank, o) for o in range(k)])
     return bank, EmbeddingMatrix(words=targets, rows=rows)
-
-
-def token_vectors(emb: EmbeddingMatrix, vocab: Vocabulary) -> dict[str, np.ndarray]:
-    """Map each target word's token to its embedding row."""
-    return {vocab.words[w]: emb.rows[i] for i, w in enumerate(emb.words)}
 
 
 def save_embeddings(emb: EmbeddingMatrix, vocab: Vocabulary, path,
@@ -285,8 +275,9 @@ def load_embeddings(path, num_literals: int | None = None
     coordinate is nonzero; dense files carry their width implicitly, and
     rows narrower than num_literals are zero-padded. A token with no cells
     is a zero row. A malformed cell, a negative literal index, a dense row
-    whose width differs from the file's other dense rows, or a token seen
-    twice raises ValueError naming the line.
+    whose width differs from the file's other dense rows, a row wider than
+    num_literals (a literal index at or above it, or more values), or a
+    token seen twice raises ValueError naming the line.
     """
     tokens: list[str] = []
     parsed: list[tuple[bool, list]] = []
@@ -327,6 +318,9 @@ def load_embeddings(path, num_literals: int | None = None
                         f"{where}: {len(cells)} values, but line "
                         f"{dense_line} has {dense_width}")
                 width = max(width, len(cells))
+            if num_literals is not None and width > num_literals:
+                raise ValueError(f"{where}: row is {width} literals wide, "
+                                 f"more than {num_literals}")
             parsed.append((is_sparse, cells))
     rows = np.zeros((len(tokens), width), dtype=np.float64)
     for i, (is_sparse, cells) in enumerate(parsed):

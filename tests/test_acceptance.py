@@ -21,7 +21,7 @@ from tmembed.phase1 import Phase1Config
 from conftest import make_store
 from oracles import (csr_rows, eligible_documents, naive_predict,
                      negation_closed_vector, two_level_union)
-from test_phase2 import random_toy_store
+from test_phase2 import random_toy_store, shuffle_position_counts
 
 
 @contextmanager
@@ -134,7 +134,7 @@ def test_c5_expansion_matches_exhaustive_enumerator():
                         two_level_union(entries, word, q, V)
 
 
-def test_c6_shuffle_position_uniformity():
+def test_c6_shuffle_position_uniformity(monkeypatch):
     with criterion(6, "shuffle position chi-square p > 0.01 over 1e4 "
                       "examples with k=5"):
         V = 8
@@ -143,10 +143,10 @@ def test_c6_shuffle_position_uniformity():
         }, V=V)
         cfg = Phase1Config(r=2500, a=2, epochs=4, num_clauses=4, T=4, s=2.0,
                            N=8, seed=107)
-        stats = phase2.Phase2Stats()
-        phase2.train_embedding(store, list(range(5)), cfg, stats)
-        assert stats.position_counts.sum() == 5 * 10_000
-        _, p, _, _ = chi2_contingency(stats.position_counts)
+        counts = shuffle_position_counts(monkeypatch, store, list(range(5)),
+                                         cfg)
+        assert counts.sum() == 5 * 10_000
+        _, p, _, _ = chi2_contingency(counts)
         assert p > 0.01
 
 

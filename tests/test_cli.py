@@ -215,6 +215,21 @@ def test_every_command_writes_its_manifest(workdir, capsys):
                      augmented, tmp / "aug.txt.labels"], [acc])
 
 
+def test_phase2_with_no_target_words_fails_before_training(tmp_path, capsys):
+    vocab, store = make_store({0: [((1,), 2), ((2, 5), -1)]}, V=4)
+    store_path, vocab_file = tmp_path / "k.tmk", tmp_path / "vocab.txt"
+    knowledge.save(store, store_path)
+    corpus.save_vocabulary(vocab, vocab_file)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("\n  \n")
+    out = tmp_path / "emb.txt"
+    assert run(["phase2", store_path, targets, "--vocab", vocab_file,
+                "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == "error: no target words\n"
+    assert not out.exists()
+    assert not (tmp_path / "emb.txt.manifest.json").exists()
+
+
 def test_eval_command_reports_fixture_scores(workdir, capsys):
     tmp, corpus, targets = workdir
     _, _, emb_path = pipeline(tmp, corpus, targets)
@@ -347,6 +362,26 @@ def test_augment_rejects_corrupt_embeddings(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "duplicate token" in err
+
+
+@pytest.mark.parametrize("cells", ["sparse", "dense"])
+def test_augment_rejects_embeddings_wider_than_the_vocabulary(tmp_path, capsys,
+                                                             cells):
+    vocab, paths, vpath = sentiment_files(tmp_path)
+    train_c, train_l = paths["train"]
+    emb_path = tmp_path / "emb.txt"
+    wide = 2 * vocab.size + 1
+    emb_path.write_text("good 0:1\nbad " + (
+        f"0:1 {wide - 1}:1" if cells == "sparse" else " ".join(["1"] * wide))
+        + "\n")
+    out = tmp_path / "a.txt"
+    code = run(["augment", train_c, train_l, "--vocab", vpath,
+                "--embeddings", emb_path, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {emb_path}:2: row is {wide} literals wide, more than "
+        f"{2 * vocab.size}\n")
+    assert not out.exists()
 
 
 def test_classify_label_count_mismatch(tmp_path, capsys):

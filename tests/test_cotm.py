@@ -81,7 +81,8 @@ def test_predict_tie_at_zero_is_zero():
     bank.weights[0, 0] = 2
     bank.weights[1, 0] = -2
     x = negation_closed_vector([0], 2)
-    assert cotm.vote_sum(bank, x, 0) == 0
+    # both clauses fire, so the vote is 2 - 2 = 0
+    assert [cotm.clause_output(bank, c, x) for c in range(2)] == [1, 1]
     assert cotm.predict(bank, x).tolist() == [0]
 
 
@@ -97,24 +98,6 @@ def test_predict_matches_naive_on_all_closed_inputs():
             x = negation_closed_vector(feats, V)
             assert cotm.predict(bank, x).tolist() == \
                 naive_predict(states, weights, bank.N, x.tolist())
-
-
-# ---- vote sum ----
-
-def test_vote_sum_clamps():
-    bank = cotm.init_bank(1, 1, 2, N=8, T=3200, s=3.0)
-    bank.set_states(np.s_[0, 0], 9)
-    bank.weights[0, 0] = 5000
-    x = negation_closed_vector([0], 2)
-    assert cotm.vote_sum(bank, x, 0) == 3200
-    bank.weights[0, 0] = -5000
-    assert cotm.vote_sum(bank, x, 0) == -3200
-    bank2 = cotm.init_bank(1, 1, 2, N=8, T=10, s=3.0)
-    bank2.set_states(np.s_[0, 0], 9)
-    bank2.weights[0, 0] = -7
-    assert cotm.vote_sum(bank2, x, 0) == -7
-    bank2.weights[0, 0] = 0
-    assert cotm.vote_sum(bank2, x, 0) == 0
 
 
 # ---- updates ----

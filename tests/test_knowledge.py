@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from tmembed import cotm, knowledge, phase1
+from tmembed import cotm, knowledge
 from tmembed.corpus import Vocabulary
 from conftest import make_store
 import oracles
@@ -273,7 +273,7 @@ def test_a_weight_outside_i32_is_rejected_and_writes_nothing(tmp_path, weight):
         store.entries[1] = entry()
         knowledge.save(store, path)
     with pytest.raises(ValueError, match=message):
-        knowledge.replace_word(path, vocab, 1, entry)
+        knowledge.replace_word(path, vocab, 1, lambda: (entry(), None))
     assert path.read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
 
@@ -413,6 +413,21 @@ def random_knowledge(rng, word, V, sign=None):
     return knowledge.WordKnowledge(word=word, clauses=clauses)
 
 
+def failed(word, msg):
+    """A failed word's (entry, failure message): an empty entry."""
+    return knowledge.WordKnowledge(word, ()), msg
+
+
+def record(store, word, result):
+    """Put a word's (entry, failure message) into the store: the store the
+    bytes replace_word writes must load as."""
+    store.entries[word], msg = result
+    if msg is None:
+        store.failures.pop(word, None)
+    else:
+        store.failures[word] = msg
+
+
 def random_store(rng, V, absent=()):
     """A store over w0..w{V-1}: random clauses, some words failed, the words
     in `absent` left out."""
@@ -421,9 +436,9 @@ def random_store(rng, V, absent=()):
     for w in range(V):
         if w in absent:
             continue
-        result = (ValueError(f"no supporting documents for word {w} ✗")
-                  if rng.random() < 0.3 else random_knowledge(rng, w, V))
-        phase1.record_result(store, w, result)
+        result = (failed(w, f"no supporting documents for word {w} ✗")
+                  if rng.random() < 0.3 else (random_knowledge(rng, w, V), None))
+        record(store, w, result)
     return vocab, store
 
 
@@ -448,17 +463,17 @@ def test_replace_word_writes_what_load_record_save_writes(tmp_path, case, seed):
     rng = np.random.default_rng([seed, list(REWRITES).index(case)])
     vocab, store = random_store(rng, V=6, absent=absent)
     if case == "replace_a_failed_word":
-        phase1.record_result(store, word, ValueError("earlier failure"))
+        record(store, word, failed(word, "earlier failure"))
     result = {
-        "trained": lambda: random_knowledge(rng, word, 6),
-        "failed": lambda: ValueError(f"no supporting documents for word {word}"),
-        "empty": lambda: knowledge.WordKnowledge(word=word, clauses=()),
-        "negative": lambda: random_knowledge(rng, word, 6, sign=-1),
+        "trained": lambda: (random_knowledge(rng, word, 6), None),
+        "failed": lambda: failed(word, f"no supporting documents for word {word}"),
+        "empty": lambda: (knowledge.WordKnowledge(word=word, clauses=()), None),
+        "negative": lambda: (random_knowledge(rng, word, 6, sign=-1), None),
     }[kind]()
     spliced, whole = tmp_path / "spliced.tmk", tmp_path / "whole.tmk"
     knowledge.save(store, spliced)
     expected = knowledge.load(spliced, vocab)
-    phase1.record_result(expected, word, result)
+    record(expected, word, result)
     knowledge.save(expected, whole)
     knowledge.replace_word(spliced, vocab, word, lambda: result)
     assert spliced.read_bytes() == whole.read_bytes()
@@ -470,12 +485,12 @@ def test_replace_word_rejects_invalid_knowledge_and_keeps_the_file(tmp_path):
     vocab, path, data = saved_three_word_store(tmp_path)
     bad = knowledge.WordKnowledge(1, [((3, 2), 1)])
     with pytest.raises(ValueError, match="strictly increasing"):
-        knowledge.replace_word(path, vocab, 1, lambda: bad)
+        knowledge.replace_word(path, vocab, 1, lambda: (bad, None))
     other = knowledge.WordKnowledge(0, ())
     with pytest.raises(ValueError, match="does not match"):
-        knowledge.replace_word(path, vocab, 1, lambda: other)
+        knowledge.replace_word(path, vocab, 1, lambda: (other, None))
     with pytest.raises(ValueError, match="out of range"):
-        knowledge.replace_word(path, vocab, 3, lambda: other)
+        knowledge.replace_word(path, vocab, 3, lambda: (other, None))
     assert path.read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
 
@@ -493,7 +508,7 @@ def test_every_cut_of_a_store_is_rejected_and_left_unchanged(tmp_path):
         assert str(err.value) == str(oracle_err.value)
         with pytest.raises(ValueError, match="^corrupt knowledge file: "):
             knowledge.replace_word(cut_path, vocab, 1,
-                                   lambda: trained.append(n) or ValueError("x"))
+                                   lambda: trained.append(n) or failed(1, "x"))
         assert cut_path.read_bytes() == data[:n]
     assert trained == []
 
@@ -580,7 +595,7 @@ def test_invalid_entries_give_the_reference_message_and_write_nothing(
     with pytest.raises(ValueError) as want:
         _validate_entry(key, k, vocab.size)
     with pytest.raises(ValueError) as got:
-        knowledge.replace_word(path, vocab, key, lambda: k)
+        knowledge.replace_word(path, vocab, key, lambda: (k, None))
     assert str(got.value) == str(want.value)
     assert path.read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]

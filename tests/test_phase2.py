@@ -1,6 +1,7 @@
 import hashlib
 import re
 from collections import Counter
+from itertools import count
 from math import comb
 
 import numpy as np
@@ -569,6 +570,8 @@ def test_train_embedding_validates_targets():
         phase2.train_embedding(store, [0, 0], desk_cfg())
     with pytest.raises(ValueError, match="missing from knowledge store"):
         phase2.train_embedding(store, [0, 9], desk_cfg())
+    with pytest.raises(ValueError, match="^no target words$"):
+        phase2.train_embedding(store, [], desk_cfg())
 
 
 def test_train_embedding_aborts_on_majority_skips():
@@ -577,15 +580,33 @@ def test_train_embedding_aborts_on_majority_skips():
         phase2.train_embedding(store, [0], desk_cfg())
 
 
-def test_shuffle_positions_are_uniform():
+def shuffle_position_counts(monkeypatch, store, targets, cfg):
+    """How often train_embedding expands each target (row) at each place of
+    its example's shuffled order (column). Every word-example calls the
+    module's build_x_phase2 once, skipped or not, so call n is at place
+    n mod k."""
+    k = len(targets)
+    counts = np.zeros((k, k), dtype=np.int64)
+    calls = count()
+    original = phase2.build_x_phase2
+
+    def counted(store, word, *args):
+        counts[targets.index(word), next(calls) % k] += 1
+        return original(store, word, *args)
+
+    monkeypatch.setattr(phase2, "build_x_phase2", counted)
+    phase2.train_embedding(store, targets, cfg)
+    return counts
+
+
+def test_shuffle_positions_are_uniform(monkeypatch):
     _, store = make_store({
         w: [((w,), 1), ((w + 8, w + 9), -1)] for w in range(4)
     }, V=8)
     cfg = desk_cfg(r=500, epochs=4, num_clauses=4, T=4, seed=11)
-    stats = phase2.Phase2Stats()
-    phase2.train_embedding(store, [0, 1, 2, 3], cfg, stats)
-    assert stats.position_counts.sum() == 4 * 2000
-    _, p, _, _ = chi2_contingency(stats.position_counts)
+    counts = shuffle_position_counts(monkeypatch, store, [0, 1, 2, 3], cfg)
+    assert counts.sum() == 4 * 2000
+    _, p, _, _ = chi2_contingency(counts)
     assert p > 0.01
 
 
@@ -620,6 +641,29 @@ def test_load_embeddings_keeps_zero_rows_and_narrow_dense_rows(tmp_path):
     dense.write_text("w0 1 2\nw1 0 3\n")
     tokens, rows = phase2.load_embeddings(dense, num_literals=6)
     assert rows.tolist() == [[1, 2, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0]]
+    # rows exactly num_literals wide
+    assert phase2.load_embeddings(dense, num_literals=2)[1].tolist() == [
+        [1, 2], [0, 3]]
+    assert phase2.load_embeddings(sparse, num_literals=2)[1].tolist() == [
+        [0, 2.5], [0, 0], [-1, 0]]
+
+
+@pytest.mark.parametrize("text, line, width", [
+    ("w0 0:1 9:2\n", 1, 10),
+    ("w0 0:1 3:2\nw1\nw2 4:1\n", 3, 5),
+    ("w0 1 2 3 4 5 6\n", 1, 6),
+    ("w0 3:1\nw1 1 2 3 4 5\n", 2, 5),
+], ids=["sparse", "sparse_at_the_bound", "dense", "dense_after_sparse"])
+def test_load_embeddings_rejects_a_row_wider_than_num_literals(
+        tmp_path, text, line, width):
+    # an embedding file over a larger vocabulary than the caller's
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: "
+                                         rf"row is {width} literals wide, "
+                                         rf"more than 4$"):
+        phase2.load_embeddings(path, num_literals=4)
+    assert phase2.load_embeddings(path)[1].shape[1] == width
 
 
 def test_load_embeddings_rejects_a_truncated_dense_row(tmp_path):
@@ -650,11 +694,3 @@ def test_load_embeddings_names_the_line_of_a_malformed_cell(tmp_path):
     path.write_text("w0 1 0\nw1 0 x\n")
     with pytest.raises(ValueError, match=r"emb.txt:2: could not convert"):
         phase2.load_embeddings(path)
-
-
-def test_token_vectors_maps_rows():
-    vocab = Vocabulary.from_words(["a", "b", "c"])
-    emb = phase2.EmbeddingMatrix(words=(1, 2), rows=np.eye(2, 6))
-    tv = phase2.token_vectors(emb, vocab)
-    assert set(tv) == {"b", "c"}
-    assert tv["b"][0] == 1.0

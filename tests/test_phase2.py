@@ -590,9 +590,9 @@ def shuffle_position_counts(monkeypatch, store, targets, cfg):
     calls = count()
     original = phase2.build_x_phase2
 
-    def counted(store, word, *args):
-        counts[targets.index(word), next(calls) % k] += 1
-        return original(store, word, *args)
+    def counted(*args):
+        counts[targets.index(args[1]), next(calls) % k] += 1
+        return original(*args)
 
     monkeypatch.setattr(phase2, "build_x_phase2", counted)
     phase2.train_embedding(store, targets, cfg)

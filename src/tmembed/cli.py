@@ -300,12 +300,21 @@ def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> Ran:
 def cmd_phase2(cfg: dict, p2cfg: p1.Phase1Config) -> Ran:
     vocab = corp.load_vocabulary(cfg["vocab"])
     store = kn.load(cfg["knowledge"], vocab)
+    lines_of: dict[str, list[int]] = {}
     with corp.open_text(cfg["targets"]) as fh:
-        tokens = [line.strip() for line in fh if line.strip()]
+        for n, line in enumerate(fh, 1):
+            if token := line.strip():
+                lines_of.setdefault(token, []).append(n)
+    tokens = list(lines_of)
     missing = [t for t in tokens if t not in vocab.index_of
                or vocab.index_of[t] not in store.entries]
     if missing:
         raise ValueError(f"target words absent from store: {', '.join(missing)}")
+    repeated = [f"{t!r} on lines {', '.join(map(str, ns))}"
+                for t, ns in lines_of.items() if len(ns) > 1]
+    if repeated:
+        raise ValueError(f"{cfg['targets']}: duplicate target word "
+                         + "; ".join(repeated))
     targets = [vocab.index_of[t] for t in tokens]
     stats = p2.Phase2Stats()
     _, emb = p2.train_embedding(store, targets, p2cfg, stats)

@@ -36,7 +36,8 @@ class ClauseBank:
 
     The bank copies the states it is given and keeps `included()`
     (states > N) and, per clause, whether any literal is included, exact
-    after every write.
+    after every write. N, T and s are read-only, so the base-256 digits of
+    1/s that `update` compares random bytes with are worked out once.
     """
 
     def __init__(self, states, weights, N: int, T: int, s: float):
@@ -44,7 +45,7 @@ class ClauseBank:
             raise ValueError("N must be >= 1")
         if T < 1:
             raise ValueError("T must be >= 1")
-        if s <= 1.0:
+        if not s > 1.0:
             raise ValueError("s must be > 1")
         states, weights = np.asarray(states), np.asarray(weights)
         if states.ndim != 2 or weights.ndim != 2:
@@ -55,12 +56,25 @@ class ClauseBank:
             raise ValueError(
                 f"weights have {weights.shape[0]} rows for "
                 f"{states.shape[0]} clauses")
-        self.N, self.T, self.s = N, T, s
+        self._N, self._T, self._s = N, T, s
+        self._digits = _base256_digits(1.0 / s)
         self._check_states(states)
         self._states = states.astype(np.int32)
         self._included = self._states > N
         self._nonempty = self._included.any(axis=1)
         self.weights = weights
+
+    @property
+    def N(self) -> int:
+        return self._N
+
+    @property
+    def T(self) -> int:
+        return self._T
+
+    @property
+    def s(self) -> float:
+        return self._s
 
     @property
     def states(self) -> np.ndarray:
@@ -103,7 +117,7 @@ class ClauseBank:
     def _set_rows(self, clauses: np.ndarray, rows: np.ndarray) -> None:
         """The states of the given clauses, and their part of the mask."""
         self._states[clauses] = rows
-        included = rows > self.N
+        included = rows > self._N
         self._included[clauses] = included
         self._nonempty[clauses] = included.any(axis=1)
 
@@ -153,6 +167,52 @@ def predict(bank: ClauseBank, x) -> np.ndarray:
     return (votes > 0).astype(np.uint8)
 
 
+def _base256_digits(p: float) -> tuple[int, ...]:
+    """The base-256 digits of p in [0, 1) after the point, up to its last
+    nonzero one; exact, since a double's denominator is a power of two."""
+    num, den = p.as_integer_ratio()
+    digits = []
+    while num:
+        num *= 256
+        digits.append(num // den)
+        num %= den
+    return tuple(digits)
+
+
+_LITTLE_U64 = np.dtype("<u8")
+
+
+def _random_bytes(bitgen, n: int) -> np.ndarray:
+    """The next n bytes of bitgen's raw 64-bit words, read little-endian;
+    the unused bytes of the last word are dropped."""
+    raw = bitgen.random_raw((n + 7) // 8).astype(_LITTLE_U64, copy=False)
+    return raw.view(np.uint8)[:n]
+
+
+def _bernoulli_mask(bitgen, shape: tuple[int, int], digits) -> np.ndarray:
+    """Boolean mask, each cell independently True with probability p.
+
+    digits are p's base-256 digits. A cell reads one random byte per digit as
+    the next digit of a uniform U and is True iff U < p: it is decided by the
+    first byte that differs from p's digit, and only cells that tie draw
+    another byte, in ascending cell order. A cell that ties every digit has
+    U >= p.
+    """
+    if not digits:
+        return np.zeros(shape, dtype=bool)
+    b = _random_bytes(bitgen, shape[0] * shape[1])
+    mask = b < digits[0]
+    if len(digits) > 1:  # a tie on the only digit leaves U >= p
+        tied = (b == digits[0]).nonzero()[0]
+        for d in digits[1:]:
+            if not tied.size:
+                break
+            b = _random_bytes(bitgen, tied.size)
+            mask[tied[b < d]] = True
+            tied = tied[b == d]
+    return mask.reshape(shape)
+
+
 def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> None:
     """One training step on output o with target bit q.
 
@@ -171,11 +231,14 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
 
     States saturate at [1, 2N].
 
-    Every call draws the C selection uniforms, then one [n, 2V] block of
-    uniforms for the n memorized clauses and one for the n forgotten ones,
-    in ascending clause order; with a saturated vote (selection probability
-    0) it returns after the first draw. Only the rewritten rows of the
-    include mask are refreshed.
+    Every call draws the C selection uniforms with rng.random; with a
+    saturated vote (selection probability 0) it returns after that draw.
+    Then one mask m, each cell True w.p. 1/s, is drawn over the n memorized
+    clauses' [n, 2V] cells, and one over the forgotten clauses' cells, from
+    rng's raw bytes (`_bernoulli_mask`). Memorize raises true literals where
+    not m and lowers false ones where m; forget lowers every literal where
+    m. The law is the dense float update's, but the stream of draws is not.
+    Only the rewritten rows of the include mask are refreshed.
     """
     x = _check_input(bank, x)
     if q not in (0, 1):
@@ -185,34 +248,35 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
 
     x_false = x == 0
     out_train, out_infer = _clause_outputs(bank, x_false)
+    T = bank._T
     v = int(bank.weights[:, o][out_infer].sum(dtype=np.int64))
-    v = max(-bank.T, min(bank.T, v))
-    p_act = (bank.T - v) / (2 * bank.T) if q == 1 else (bank.T + v) / (2 * bank.T)
+    v = max(-T, min(T, v))
+    p_act = (T - v) / (2 * T) if q == 1 else (T + v) / (2 * T)
     u = rng.random(bank.num_clauses)
     if p_act == 0:
         return
     active = u < p_act
 
     if q == 1:
-        memorize = np.flatnonzero(active & out_train)
-        forget = np.flatnonzero(active & ~out_train)
+        memorize = (active & out_train).nonzero()[0]
+        forget = (active & ~out_train).nonzero()[0]
         if memorize.size:
-            u = rng.random((memorize.size, bank.num_literals))
             rows = bank._states[memorize]
-            rows += ~x_false & (u < (bank.s - 1.0) / bank.s)
-            rows -= x_false & (u < 1.0 / bank.s)
-            np.minimum(rows, 2 * bank.N, out=rows)
+            rows += ~x_false  # true literals rise, unless m cancels it
+            rows -= _bernoulli_mask(rng.bit_generator, rows.shape,
+                                    bank._digits)
+            np.minimum(rows, 2 * bank._N, out=rows)
             np.maximum(rows, 1, out=rows)
             bank._set_rows(memorize, rows)
             bank.weights[memorize, o] += 1
         if forget.size:
-            u = rng.random((forget.size, bank.num_literals))
             rows = bank._states[forget]
-            rows -= u < 1.0 / bank.s
+            rows -= _bernoulli_mask(rng.bit_generator, rows.shape,
+                                    bank._digits)
             np.maximum(rows, 1, out=rows)
             bank._set_rows(forget, rows)
     else:
-        invalidate = np.flatnonzero(active & out_train)
+        invalidate = (active & out_train).nonzero()[0]
         if invalidate.size:
             rows = bank._states[invalidate]
             rows += x_false  # a firing clause includes no false literal

@@ -4,9 +4,11 @@ Everything here is deliberately naive pure Python (loops and sets, no numpy
 vector tricks) so it cannot share a bug with the code under test.
 """
 
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
@@ -131,8 +133,6 @@ def naive_embedding(states, weights, N, o):
 
 def pairwise_cosine_table(rows):
     """All-pairs cosine from first principles."""
-    import math
-
     def cos(u, v):
         dot = sum(a * b for a, b in zip(u, v))
         nu = math.sqrt(sum(a * a for a in u))
@@ -401,8 +401,11 @@ def vectorize_loopwise(raw_docs, vocab):
 # The clause bank and its update as they were before the bank kept its
 # include mask: every call recomputed states > N over all C x 2V cells.
 # DenseBank is that ClauseBank, renamed; it and the helpers below are
-# verbatim, and update is the library's update, verbatim. The lockstep test
-# steps it beside the library's update on copies of one bank.
+# verbatim. update is the library's update as it was before the feedback
+# masks came from random bytes: with draw=float_draw (the default) it draws
+# a float64 uniform per cell, and it is the law reference. byte_update is the
+# same update with draw=byte_draw, whose masks come from bernoulli_mask; the
+# lockstep test steps it beside the library's update on copies of one bank.
 
 @dataclass
 class DenseBank:
@@ -464,7 +467,56 @@ def _clamped_vote(bank: DenseBank, out_infer: np.ndarray, o: int) -> int:
     return max(-bank.T, min(bank.T, v))
 
 
-def update(bank: DenseBank, x, o: int, q: int, rng: np.random.Generator) -> None:
+def bernoulli_mask(bitgen, shape, p):
+    """Boolean mask of the given shape, cell by cell True iff U < p.
+
+    Each cell reads its uniform U = 0.b1 b2 ... one random byte at a time.
+    After k bytes it is decided when the integer b1...bk differs from
+    floor(p * 256**k), or ties it where p * 256**k is a whole number (then
+    U >= p). The bytes come in rounds: the first byte of every cell, then one
+    more for each cell still undecided, in cell order. Each round reads
+    fresh 64-bit words from bitgen.random_raw, least significant byte first,
+    and drops the unused bytes of its last word.
+    """
+    p = Fraction(p)
+    cells = shape[0] * shape[1]
+    prefix = [0] * cells
+    decided = [False] * cells
+    pending = list(range(cells))
+    k = 0
+    while True:
+        bound = p * 256 ** k
+        floor_k = math.floor(bound)
+        undecided = []
+        for c in pending:
+            if prefix[c] < floor_k:
+                decided[c] = True
+            elif prefix[c] == floor_k and bound != floor_k:
+                undecided.append(c)
+        pending = undecided
+        if not pending:
+            return np.array(decided, dtype=bool).reshape(shape)
+        words = bitgen.random_raw((len(pending) + 7) // 8)
+        stream = b"".join(int(w).to_bytes(8, "little") for w in words)
+        for c, byte in zip(pending, stream):
+            prefix[c] = prefix[c] * 256 + byte
+        k += 1
+
+
+def float_draw(rng, shape, s):
+    """(raise true literals, lower literals) masks from one float per cell."""
+    u = rng.random(shape)
+    return u < (s - 1.0) / s, u < 1.0 / s
+
+
+def byte_draw(rng, shape, s):
+    """The same two masks from one bernoulli_mask m at rate 1/s: (~m, m)."""
+    m = bernoulli_mask(rng.bit_generator, shape, 1.0 / s)
+    return ~m, m
+
+
+def update(bank: DenseBank, x, o: int, q: int, rng: np.random.Generator,
+           draw=float_draw) -> None:
     """One training step on output o with target bit q.
 
     Each clause is selected independently with probability
@@ -497,18 +549,18 @@ def update(bank: DenseBank, x, o: int, q: int, rng: np.random.Generator) -> None
         forget = active & ~out_train
         n_mem = int(memorize.sum())
         if n_mem:
-            u = rng.random((n_mem, bank.num_literals))
+            up, down = draw(rng, (n_mem, bank.num_literals), bank.s)
             rows = bank.states[memorize]
-            rows += (~x_false)[None, :] & (u < (bank.s - 1.0) / bank.s)
-            rows -= x_false[None, :] & (u < 1.0 / bank.s)
+            rows += (~x_false)[None, :] & up
+            rows -= x_false[None, :] & down
             np.clip(rows, lo, hi, out=rows)
             bank.states[memorize] = rows
             bank.weights[memorize, o] += 1
         n_forget = int(forget.sum())
         if n_forget:
-            u = rng.random((n_forget, bank.num_literals))
+            _, down = draw(rng, (n_forget, bank.num_literals), bank.s)
             rows = bank.states[forget]
-            rows -= u < 1.0 / bank.s
+            rows -= down
             np.clip(rows, lo, hi, out=rows)
             bank.states[forget] = rows
     else:
@@ -518,3 +570,9 @@ def update(bank: DenseBank, x, o: int, q: int, rng: np.random.Generator) -> None
             rows += x_false[None, :] & (rows <= bank.N)
             bank.states[invalidate] = rows
             bank.weights[invalidate, o] -= 1
+
+
+def byte_update(bank: DenseBank, x, o: int, q: int,
+                rng: np.random.Generator) -> None:
+    """update with feedback masks from random bytes, as cotm.update draws them."""
+    update(bank, x, o, q, rng, draw=byte_draw)

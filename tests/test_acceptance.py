@@ -316,7 +316,7 @@ def test_c10_every_stage_is_bit_deterministic(tmp_path):
 # commands' input building must not move them.
 PINNED_C10_SHA256 = {
     "augmented.txt":
-        "2fe15796f4c32fc6060623cfdb470100b1f9cdc69ab7a1abea80714cdf1a053d",
+        "e109019758c779660cec8e70e55a39fad75e9e80f9ced2c76d73d0e756818973",
     "augmented.txt.labels":
         "35243f6df2d5a76cfd07cf35bea9d76424b48bf86d13d662f5fd493a5229e3e9",
     "classify.txt":

@@ -299,11 +299,11 @@ def test_library_rejects_a_label_outside_0_and_1(bad):
 PINNED_CLS = aug.ClassifierConfig(num_clauses=10, T=10, s=3.0, N=16, epochs=2,
                                   seed=4)
 PINNED_STATES_SHA256 = \
-    "c3776939372352f6ad041a3b03221b6ab154d91f56e1976c0acc0ec1a0a091a7"
+    "851980c455bba68093a0c6ab6c19392a82cf259c5b664c72bcc8c9c2bd33db62"
 PINNED_WEIGHTS_SHA256 = \
-    "4b12422b19701a54d3c1420861d85fd9e2b23dfc571e7e03a39565bd439e4da4"
-PINNED_ACCURACY = (35 / 43, {"positive_correct": 17, "positive_total": 22,
-                             "negative_correct": 18, "negative_total": 21})
+    "d15855e1d13eac4641590236b57b689653d68e982595081e81d1bff0a843704b"
+PINNED_ACCURACY = (33 / 43, {"positive_correct": 16, "positive_total": 22,
+                             "negative_correct": 17, "negative_total": 21})
 
 
 def pinned_classifier_inputs():

@@ -105,6 +105,22 @@ def test_phase2_missing_target_word(workdir, capsys):
     assert not (tmp / "x.txt.manifest.json").exists()
 
 
+def test_phase2_names_each_repeated_target_and_its_lines(workdir, capsys):
+    tmp, corpus, targets = workdir
+    store_path, vocab_file, _ = pipeline(tmp, corpus, targets)
+    capsys.readouterr()
+    repeated = tmp / "repeated.txt"
+    repeated.write_text("sun\nmoon\nsun\ncar\n\nmoon\n")
+    out = tmp / "x.txt"
+    assert run(["phase2", store_path, repeated, "--vocab", vocab_file,
+                "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == (
+        f"error: {repeated}: duplicate target word 'sun' on lines 1, 3; "
+        f"'moon' on lines 2, 6\n")
+    assert not out.exists()
+    assert not (tmp / "x.txt.manifest.json").exists()
+
+
 def test_phase2_vocabulary_mismatch(workdir):
     tmp, corpus, targets = workdir
     store_path, vocab_file, _ = pipeline(tmp, corpus, targets)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,120 @@ def test_update_validation():
         cotm.update(bank, x, 5, 1, rng)
     with pytest.raises(ValueError, match="dimension mismatch"):
         cotm.update(bank, np.zeros(4, dtype=np.uint8), 0, 1, rng)
+
+
+# ---- feedback masks ----
+
+def digits_of(s):
+    return cotm.init_bank(1, 1, 1, N=1, T=1, s=s)._digits
+
+
+def test_base256_digits_are_exact():
+    for s in (1.5, 2, 3, 5, 7.3, 1e12):
+        digits = digits_of(s)
+        assert digits[-1] != 0
+        assert sum(Fraction(d, 256 ** (k + 1))
+                   for k, d in enumerate(digits)) == Fraction(1.0 / s)
+    assert digits_of(2) == (128,)
+    assert digits_of(1.5) == (170,) * 6 + (168,)
+    assert cotm._base256_digits(0.5 + 2 ** -32) == (128, 0, 0, 1)
+    assert cotm._base256_digits(2.0 ** -1074) == (0,) * 134 + (64,)
+    assert digits_of(float("inf")) == ()
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 5.0, 7.3])
+def test_mask_rate_is_binomial(s):
+    # 1000 x 1024 cells, each True w.p. p = 1/s: within five sigmas
+    rng = np.random.default_rng([17, int(10 * s)])
+    n, p = 1000 * 1024, 1.0 / s
+    mask = cotm._bernoulli_mask(rng.bit_generator, (1000, 1024), digits_of(s))
+    assert mask.shape == (1000, 1024) and mask.dtype == bool
+    assert abs(int(mask.sum()) - n * p) < 5 * (n * p * (1 - p)) ** 0.5
+
+
+class ScriptedBits:
+    """A bit generator whose random_raw serves the given bytes, one list per
+    call, padded to whole 64-bit words read little-endian; it records the
+    number of words each call asked for."""
+
+    def __init__(self, rounds):
+        self.rounds, self.sizes = list(rounds), []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        data = bytes(self.rounds.pop(0))
+        data += b"\xee" * (8 * size - len(data))
+        return np.array([int.from_bytes(data[i:i + 8], "little")
+                         for i in range(0, len(data), 8)], dtype=np.uint64)
+
+
+def test_a_cell_that_ties_a_digit_reads_the_next_byte_to_the_last_digit():
+    # p = 1/1.5 has the digits 170 (six times) and 168. Cells 0-2 tie the
+    # first six and are decided by the seventh; cell 1 ties all seven, so
+    # U >= p. Cell 5 is decided by its second byte, cells 3 and 4 by their
+    # first. Each round reads one 64-bit word.
+    digits = digits_of(1.5)
+    bits = ScriptedBits([[170, 170, 170, 169, 171, 170],
+                         [170, 170, 170, 0]]
+                        + [[170, 170, 170]] * 4
+                        + [[167, 168, 169]])
+    mask = cotm._bernoulli_mask(bits, (2, 3), digits)
+    assert mask.tolist() == [[True, False, False], [True, False, True]]
+    assert bits.sizes == [1] * 7 and not bits.rounds
+    bits = ScriptedBits([[128, 128, 127, 0, 128], [0, 1, 0], [0, 0], [0, 1]])
+    mask = cotm._bernoulli_mask(bits, (1, 5), (128, 0, 0, 1))
+    assert mask.tolist() == [[True, False, True, True, False]]
+
+
+def test_mask_draws_span_words_and_drop_the_rest_of_the_last_one():
+    # 17 cells read three words; the next call starts on a fresh word
+    rng = np.random.default_rng(5)
+    words = np.random.default_rng(5).bit_generator.random_raw(4)
+    stream = b"".join(int(w).to_bytes(8, "little") for w in words)
+    assert cotm._random_bytes(rng.bit_generator, 17).tobytes() == stream[:17]
+    assert cotm._random_bytes(rng.bit_generator, 2).tobytes() == stream[24:26]
+
+
+def test_a_seeded_mask_is_pinned():
+    # the stream reads words little-endian on any host
+    rng = np.random.default_rng(2024)
+    assert cotm._random_bytes(rng.bit_generator, 12).tolist() == [
+        232, 202, 212, 61, 86, 72, 3, 173, 217, 208, 163, 23]
+    rng = np.random.default_rng(2024)
+    mask = cotm._bernoulli_mask(rng.bit_generator, (4, 16), digits_of(3))
+    assert np.packbits(mask).tobytes().hex() == "1611374020b52bdb"
+
+
+def test_digits_are_worked_out_once_per_bank(monkeypatch):
+    calls = []
+    digits = cotm._base256_digits
+    monkeypatch.setattr(cotm, "_base256_digits",
+                        lambda p: calls.append(p) or digits(p))
+    bank = cotm.init_bank(6, 2, 4, N=4, T=8, s=3.0)
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        x = rng.integers(0, 2, size=8).astype(np.uint8)
+        cotm.update(bank, x, int(rng.integers(2)), int(rng.integers(2)), rng)
+    assert calls == [1.0 / 3.0]
+    for name, value in (("N", 5), ("T", 9), ("s", 2.0)):
+        with pytest.raises(AttributeError):
+            setattr(bank, name, value)
+    assert (bank.N, bank.T, bank.s) == (4, 8, 3.0)
+
+
+def test_infinite_s_never_lowers_a_state_and_draws_only_the_selection():
+    # p = 1/s = 0: no mask cell is True and no byte is drawn
+    bank = cotm.init_bank(4, 1, 3, N=4, T=10, s=float("inf"))
+    rng, selection = np.random.default_rng(15), np.random.default_rng(15)
+    x = negation_closed_vector([0], 3)
+    for _ in range(50):
+        cotm.update(bank, x, 0, 1, rng)
+        selection.random(4)
+    assert rng.bit_generator.state == selection.bit_generator.state
+    assert (bank.states[:, x == 0] == 4).all()
+    assert (bank.states[:, x == 1] > 4).all()
+    with pytest.raises(ValueError, match="s must be > 1"):
+        cotm.init_bank(1, 1, 1, N=4, T=10, s=float("nan"))
 
 
 # ---- initialization ----

@@ -402,9 +402,10 @@ def pinned_phase1_store():
 # pinned_phase1_store under PINNED_PHASE2_CFG, as the expansion that draws
 # each level's clauses in one exact subset draw produces them. Any change to
 # the random stream, the expansion or the training moves it; the law tests
-# above must pass with any new digest.
+# above must pass with any new digest. Word 3 of that store has no negative
+# clause, so its q=0 word-examples are skipped.
 PINNED_EMBEDDING_SHA256 = \
-    "0376f5dddd8134df85ca1200dc9ed64b5746a5e681d28e20374b094d19879a17"
+    "7d97a30f50205a53235352b6d4729cbda8bf32ed134ec6291320b25425ad2357"
 PINNED_PHASE2_CFG = Phase1Config(r=30, a=2, epochs=2, num_clauses=12, T=12,
                                  s=3.0, N=16, seed=9)
 
@@ -413,7 +414,7 @@ def test_train_embedding_rows_are_pinned():
     store = pinned_phase1_store()
     stats = phase2.Phase2Stats()
     _, emb = phase2.train_embedding(store, range(10), PINNED_PHASE2_CFG, stats)
-    assert (stats.attempts, stats.skips) == (600, 0)
+    assert (stats.attempts, stats.skips) == (600, 28)
     assert hashlib.sha256(emb.rows.tobytes()).hexdigest() == \
         PINNED_EMBEDDING_SHA256
 

@@ -1,11 +1,14 @@
-"""cotm.update stepped in lockstep with the dense update it replaced.
+"""cotm.update stepped in lockstep with the dense update of tests/oracles.py.
 
-tests/oracles.py keeps that update verbatim, with the bank it ran on. Each
-case builds one bank, gives a copy to each side and steps both with
-generators of one seed. After every step the states, the weights and the
-generator states must be equal, so the library draws exactly the oracle's
-uniforms, in the oracle's order, and applies the same feedback; and the
-bank's include mask must equal states > N.
+The oracle is the dense update the library replaced, with its feedback
+masks drawn by oracles.bernoulli_mask, a cell-by-cell comparison of random
+bytes with 1/s (byte_update). Each case builds one bank, gives a copy to
+each side and steps both with generators of one seed. After every step the
+states, the weights and the generator states must be equal, so the library
+draws exactly the oracle's uniforms and bytes, in the oracle's order, and
+applies the same feedback; and the bank's include mask must equal
+states > N. Errors are checked against the float update, which raises the
+same ones before any draw.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import DenseBank, update as dense_update
+from oracles import DenseBank, byte_update, update as dense_update
 from tmembed import cotm
 
 STEPS = 40
@@ -84,7 +87,7 @@ def test_update_steps_in_lockstep_with_the_dense_oracle(C, V):
             x = random_input(rng, V)
             o, q = int(rng.integers(outputs)), int(rng.integers(2))
             cotm.update(bank, x, o, q, lib_rng)
-            dense_update(oracle, x, o, q, oracle_rng)
+            byte_update(oracle, x, o, q, oracle_rng)
             assert_same(bank, oracle, lib_rng, oracle_rng)
 
 

@@ -193,8 +193,13 @@ class ClassifierConfig:
     def __post_init__(self):
         if min(self.num_clauses, self.T, self.N, self.epochs) < 1:
             raise ValueError("epochs, num_clauses, T and N must be >= 1")
-        if self.s <= 1.0:
+        if not self.s > 1.0:
             raise ValueError("s must be > 1")
+
+
+def _document_vectors(ds: DocumentSet) -> np.ndarray:
+    """Every document's own vector, row d for document d."""
+    return ds.vectors(np.arange(ds.num_docs), [1] * ds.num_docs)
 
 
 def train_classifier(ds: DocumentSet, labels,
@@ -205,7 +210,7 @@ def train_classifier(ds: DocumentSet, labels,
         raise ValueError("single-class training set")
     rng = np.random.default_rng(cfg.seed)
     bank = init_bank(cfg.num_clauses, 1, ds.V, cfg.N, cfg.T, cfg.s)
-    vectors = [ds.vector([d]) for d in range(ds.num_docs)]
+    vectors = _document_vectors(ds)
     for _ in range(cfg.epochs):
         for e in rng.permutation(ds.num_docs):
             update(bank, vectors[e], 0, labels[e], rng)
@@ -220,10 +225,10 @@ def accuracy(bank: ClauseBank, ds: DocumentSet,
         raise ValueError("no documents to score")
     counts = {"positive_correct": 0, "positive_total": 0,
               "negative_correct": 0, "negative_total": 0}
-    for d, label in enumerate(labels):
+    for x, label in zip(_document_vectors(ds), labels):
         side = "positive" if label == POSITIVE else "negative"
         counts[side + "_total"] += 1
-        if predict(bank, ds.vector([d]))[0] == label:
+        if predict(bank, x)[0] == label:
             counts[side + "_correct"] += 1
     correct = counts["positive_correct"] + counts["negative_correct"]
     return correct / len(labels), counts

@@ -282,7 +282,7 @@ def cmd_phase1(cfg: dict, p1cfg: p1.Phase1Config) -> Ran:
             raise ValueError(f"word {token!r} not in vocabulary")
         w = vocab.index_of[token]
         kn.replace_word(cfg["out"], vocab, w,
-                        lambda: p1.train_or_error(ds, w, p1cfg))
+                        lambda: p1.train_words(ds, [w], p1cfg)[0])
         print(f"retrained {token!r} -> {cfg['out']}")
         return inputs, [cfg["out"]], {}
     store = p1.train_all(ds, vocab, p1cfg, parallelism=cfg["jobs"])

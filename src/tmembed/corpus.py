@@ -54,7 +54,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.words).encode("utf-8")).digest()
 
 
-# A NumPy scalar: vector() writes it faster than a Python int.
+# A NumPy scalar: vectors() writes it faster than a Python int.
 _ONE = np.uint8(1)
 
 
@@ -73,15 +73,6 @@ class DocumentSet:
     words: np.ndarray
     iptr: np.ndarray
     doc_ids: np.ndarray
-    # ptr as Python ints: slicing with them is what keeps vector() cheap
-    _bounds: list[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._bounds = self.ptr.tolist()
-
-    def __reduce__(self):  # pickle the tables alone; _bounds is rebuilt
-        return DocumentSet, (self.V, self.ptr, self.words, self.iptr,
-                             self.doc_ids)
 
     @property
     def num_docs(self) -> int:
@@ -95,24 +86,36 @@ class DocumentSet:
         keep[self.containing(word)] = False
         return np.flatnonzero(keep)
 
-    def vector(self, ids) -> np.ndarray:
-        """Union the given documents' word sets into a negation-closed
-        vector of length 2V: their word ids are scattered straight into the
-        feature half, and the other half is its negation. An id outside
-        [0, num_docs) raises ValueError."""
-        ids = np.asarray(ids).tolist()
-        x = np.zeros(2 * self.V, dtype=np.uint8)
-        if ids:
-            ends = sorted(ids)  # one call: cheaper than min() and max()
-            if ends[0] < 0 or ends[-1] >= self.num_docs:
-                bad = ends[0] if ends[0] < 0 else ends[-1]
+    def vectors(self, ids, counts) -> np.ndarray:
+        """[len(counts), 2V] uint8: row i is the negation-closed union of the
+        word sets of the next counts[i] documents of ids (the counts sum to
+        len(ids)). The ranges of `words` of all the documents are gathered
+        at once and scattered into the feature halves; the other halves are
+        their negation. An id outside [0, num_docs) raises ValueError."""
+        ids = np.asarray(ids)
+        x = np.zeros((len(counts), 2 * self.V), dtype=np.uint8)
+        if ids.size:
+            order = sorted(ids.tolist())  # one call: cheaper than min and max
+            if order[0] < 0 or order[-1] >= self.num_docs:
+                bad = order[0] if order[0] < 0 else order[-1]
                 raise ValueError(f"document id {bad} out of range for "
                                  f"{self.num_docs} documents")
-        bounds, words = self._bounds, self.words
-        for d in ids:
-            x[words[bounds[d]:bounds[d + 1]]] = _ONE
-        np.subtract(_ONE, x[:self.V], out=x[self.V:])
+            stops = self.ptr[ids + 1]
+            lengths = stops - self.ptr[ids]
+            ends = lengths.cumsum()  # where each range ends in the gather
+            at = np.repeat(stops - ends, lengths)
+            at += np.arange(ends[-1])
+            cells = self.words[at]
+            if len(counts) > 1:  # row r's cells start at r * 2V
+                cells += np.repeat(np.repeat(
+                    np.arange(0, x.size, x.shape[1]), counts), lengths)
+            x.reshape(-1)[cells] = _ONE
+        np.subtract(_ONE, x[:, :self.V], out=x[:, self.V:])
         return x
+
+    def vector(self, ids) -> np.ndarray:
+        """The one-row case of vectors: the given documents' union."""
+        return self.vectors(ids, [len(ids)])[0]
 
 
 def build_vocabulary(raw_docs: list[list[str]], max_vocab: int) -> Vocabulary:

@@ -5,9 +5,12 @@ clause weights. Each literal of each clause is a two-action automaton over
 states [1, 2N]; states above N include the literal in the clause conjunction.
 
 The bank keeps that include mask, and for each clause whether it includes any
-literal, next to the states. `ClauseBank.states` is read-only: `update` and
-`ClauseBank.set_states` are the only writers, and each refreshes the mask on
-the rows it writes, so clause evaluation never recomputes `states > N`.
+literal, next to the states. `ClauseBank.states` is read-only: the updates
+and `ClauseBank.set_states` are the only writers, and each refreshes the mask
+on the rows it writes, so clause evaluation never recomputes `states > N`.
+`update` steps one bank; `update_stack` steps many single-output machines
+held in one bank, each as `update` would step it alone. Both apply their
+feedback through `_feedback`, the one home of the feedback rules.
 
 Input vectors ("literal vectors") have length 2V: positions [0, V) are the
 original features, [V, 2V) their negations. Negation closure
@@ -107,6 +110,13 @@ class ClauseBank:
         self._states[index] = values
         np.greater(self._states, self.N, out=self._included)
         np.any(self._included, axis=1, out=self._nonempty)
+
+    def take(self, clauses) -> "ClauseBank":
+        """A new bank of copies of the given clauses (an index array or a
+        slice), with the same N, T and s."""
+        return ClauseBank(self._states[clauses],
+                          self.weights[clauses].copy(), self._N, self._T,
+                          self._s)
 
     def _check_states(self, states: np.ndarray) -> None:
         if not np.issubdtype(states.dtype, np.integer):
@@ -220,7 +230,7 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
     (T - clamp(v)) / 2T when q=1, (T + clamp(v)) / 2T when q=0, where v is
     the sum of o's weights over the fired, non-empty clauses, clamped to
     [-T, T]. Selected clauses receive one of three updates keyed on their
-    train-mode output:
+    train-mode output (`_feedback`):
 
       q=1, fires:       memorize true literals w.p. (s-1)/s, forget false ones
                         w.p. 1/s; weight[o] += 1
@@ -248,37 +258,114 @@ def update(bank: ClauseBank, x, o: int, q: int, rng: np.random.Generator) -> Non
 
     x_false = x == 0
     out_train, out_infer = _clause_outputs(bank, x_false)
-    T = bank._T
     v = int(bank.weights[:, o][out_infer].sum(dtype=np.int64))
-    v = max(-T, min(T, v))
-    p_act = (T - v) / (2 * T) if q == 1 else (T + v) / (2 * T)
+    p_act = _selection_probability(bank._T, v, q)
     u = rng.random(bank.num_clauses)
     if p_act == 0:
         return
     active = u < p_act
-
+    fires = active & out_train
     if q == 1:
-        memorize = (active & out_train).nonzero()[0]
-        forget = (active & ~out_train).nonzero()[0]
+        memorize = fires.nonzero()[0]
+        forget = (active ^ fires).nonzero()[0]
+        memorize_mask = forget_mask = None
         if memorize.size:
-            rows = bank._states[memorize]
-            rows += ~x_false  # true literals rise, unless m cancels it
-            rows -= _bernoulli_mask(rng.bit_generator, rows.shape,
-                                    bank._digits)
-            np.minimum(rows, 2 * bank._N, out=rows)
-            np.maximum(rows, 1, out=rows)
-            bank._set_rows(memorize, rows)
-            bank.weights[memorize, o] += 1
+            memorize_mask = _bernoulli_mask(
+                rng.bit_generator, (memorize.size, bank.num_literals),
+                bank._digits)
         if forget.size:
-            rows = bank._states[forget]
-            rows -= _bernoulli_mask(rng.bit_generator, rows.shape,
-                                    bank._digits)
-            np.maximum(rows, 1, out=rows)
-            bank._set_rows(forget, rows)
+            forget_mask = _bernoulli_mask(
+                rng.bit_generator, (forget.size, bank.num_literals),
+                bank._digits)
+        _feedback(bank, o, memorize, x_false, memorize_mask, forget,
+                  forget_mask, _NO_CLAUSES, None)
     else:
-        invalidate = (active & out_train).nonzero()[0]
-        if invalidate.size:
-            rows = bank._states[invalidate]
-            rows += x_false  # a firing clause includes no false literal
-            bank._set_rows(invalidate, rows)
-            bank.weights[invalidate, o] -= 1
+        _feedback(bank, o, _NO_CLAUSES, None, None, _NO_CLAUSES, None,
+                  fires.nonzero()[0], x_false)
+
+
+def update_stack(bank: ClauseBank, x: np.ndarray, q, rngs) -> None:
+    """One `update` of output 0 on each of B machines stacked in one bank.
+
+    Machine b owns the C = num_clauses / B clauses from b * C on and steps
+    on the binary input x[b] with target bit q[b], drawing its selection
+    uniforms and then its memorize and forget masks from rngs[b] as
+    `update` draws them. So each machine, and each generator, ends where
+    `update` leaves them on a bank of its own. x and q are not checked; a
+    stack of one is `update`.
+    """
+    B = len(rngs)
+    if B == 1:
+        return update(bank, x[0], 0, q[0], rngs[0])
+    C, L = bank.num_clauses // B, bank.num_literals
+    u = np.empty((B, C))
+    for u_b, rng in zip(u, rngs):
+        rng.random(out=u_b)
+    x_false = x == 0
+    out_train = ~(bank._included.reshape(B, C, L)
+                  & x_false[:, None]).any(axis=2)
+    out_infer = out_train & bank._nonempty.reshape(B, C)
+    v = (bank.weights.reshape(B, C) * out_infer).sum(axis=1, dtype=np.int64)
+    active = u < np.array([_selection_probability(bank._T, v_b, q_b)
+                           for v_b, q_b in zip(v.tolist(), q)])[:, None]
+    fires = active & out_train
+    rewarded = np.array(q, dtype=bool)[:, None]
+    memorize = fires & rewarded
+    forget = (active ^ fires) & rewarded
+    memorize_masks, forget_masks = [], []
+    for rng, m, f in zip(rngs, memorize.sum(axis=1).tolist(),
+                         forget.sum(axis=1).tolist()):
+        if m:
+            memorize_masks.append(
+                _bernoulli_mask(rng.bit_generator, (m, L), bank._digits))
+        if f:
+            forget_masks.append(
+                _bernoulli_mask(rng.bit_generator, (f, L), bank._digits))
+    invalidate = (fires ^ memorize).ravel().nonzero()[0]
+    memorize = memorize.ravel().nonzero()[0]
+    _feedback(bank, 0, memorize, x_false[memorize // C],
+              _joined(memorize_masks), forget.ravel().nonzero()[0],
+              _joined(forget_masks), invalidate, x_false[invalidate // C])
+
+
+def _joined(masks: list) -> np.ndarray | None:
+    return np.concatenate(masks) if masks else None
+
+
+def _selection_probability(T: int, v: int, q: int) -> float:
+    """The chance that a clause is selected for feedback, given target bit
+    q and the vote sum v, which is clamped to [-T, T] first."""
+    v = max(-T, min(T, v))
+    return (T - v) / (2 * T) if q == 1 else (T + v) / (2 * T)
+
+
+_NO_CLAUSES = np.empty(0, dtype=np.intp)
+
+
+def _feedback(bank: ClauseBank, o: int, memorize, memorize_false,
+              memorize_mask, forget, forget_mask, invalidate,
+              invalidate_false) -> None:
+    """Apply the feedback rules of `update` to the given clauses of output o.
+
+    The three clause lists share no clause. Each *_false holds the cells
+    where a clause's input is 0, as one row for all of its list or one row
+    per clause; each mask has one row per clause, every cell True w.p. 1/s.
+    """
+    if memorize.size:
+        rows = bank._states[memorize]
+        rows += ~memorize_false  # true literals rise, unless m cancels it
+        rows -= memorize_mask
+        np.minimum(rows, 2 * bank._N, out=rows)
+        np.maximum(rows, 1, out=rows)
+        bank._set_rows(memorize, rows)
+        bank.weights[memorize, o] += 1
+    if forget.size:
+        rows = bank._states[forget]
+        rows -= forget_mask
+        np.maximum(rows, 1, out=rows)
+        bank._set_rows(forget, rows)
+    if invalidate.size:
+        rows = bank._states[invalidate]
+        rows += invalidate_false  # a firing clause includes no false literal
+        bank._set_rows(invalidate, rows)
+        bank.weights[invalidate, o] -= 1

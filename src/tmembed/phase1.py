@@ -4,19 +4,22 @@ Each vocabulary word gets its own single-output machine. Every training
 example draws a target bit q, samples up to `a` documents that contain the
 word (q=1) or do not (q=0), unions their word sets into a negation-closed
 literal vector, and applies one update. The trained bank is distilled into
-the word's clause knowledge.
+the word's clause knowledge. Words train in lockstep batches, each word on
+its own random stream, so a word's knowledge does not depend on its batch.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import DocumentSet, Vocabulary
-from .cotm import init_bank, update
+# update is not called here; bench/tmbench/tracer.py wraps phase1.update
+# (Phase 1 steps its machines through update_stack).
+from .cotm import init_bank, update, update_stack  # noqa: F401
 from .knowledge import NO_CLAUSES, KnowledgeStore, WordKnowledge, from_bank
 
 
@@ -37,7 +40,7 @@ class Phase1Config:
     def __post_init__(self):
         if min(self.r, self.a, self.epochs, self.num_clauses, self.T, self.N) < 1:
             raise ValueError("r, a, epochs, num_clauses, T and N must be >= 1")
-        if self.s <= 1.0:
+        if not self.s > 1.0:
             raise ValueError("s must be > 1")
 
 
@@ -71,7 +74,8 @@ def build_x_from_documents(ds: DocumentSet, word: int, q: int, a: int,
                            rng: np.random.Generator,
                            pools: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> np.ndarray:
-    """The negation-closed union of the picked documents' word sets."""
+    """The negation-closed union of the picked documents' word sets: one
+    training input of the word, drawn as `train_words` draws it."""
     return ds.vector(pick_documents(ds, word, q, a, rng, pools))
 
 
@@ -80,21 +84,98 @@ def _word_rng(cfg: Phase1Config, word: int) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, word])
 
 
+# A lockstep batch holds about this many clause cells (num_clauses x 2V per
+# word). Its stacked bank takes 5 bytes a cell and each step's temporaries
+# a few MB more, which stays below what other stages of a run add to the
+# peak RSS. Twice the budget ran planted_small's Phase 1 about 5% faster
+# but raised the benchmark's peak RSS by about 3 MB. A bank larger than
+# this trains alone.
+BATCH_CELLS = 1 << 19
+
+
+def batch_size(V: int, cfg: Phase1Config) -> int:
+    """How many words of a V-word vocabulary train in one lockstep batch."""
+    return max(1, BATCH_CELLS // (cfg.num_clauses * 2 * V))
+
+
+def train_words(ds: DocumentSet, words, cfg: Phase1Config
+                ) -> list[tuple[WordKnowledge, str | None]]:
+    """Train the words' machines in lockstep; each word's store entry and
+    failure message (None if it trained), in the order given.
+
+    The machines sit in one stacked bank, num_clauses clauses each. At each
+    step every word draws from its own stream exactly what it draws when
+    trained alone: its target bit and its documents, then, inside
+    `cotm.update_stack`, its selection uniforms and its feedback masks. So a word's entry
+    does not depend on the batch it trains in. A word whose training fails
+    becomes an empty entry plus the error's text and leaves the batch; the
+    others go on.
+    """
+    errors: dict[int, str] = {}
+    live = []  # (word, document pools, generator) of each word in training
+    for w in words:
+        if not 0 <= w < ds.V:
+            errors[w] = f"word index {w} out of range"
+            continue
+        pools = document_pools(ds, w)
+        if pools[1].size == 0:
+            errors[w] = f"no supporting documents for word {w}"
+        else:
+            live.append((w, pools, _word_rng(cfg, w)))
+    trained = _lockstep(ds, live, cfg, errors) if live else {}
+    return [(trained[w], None) if w in trained
+            else (WordKnowledge(w, NO_CLAUSES), errors[w]) for w in words]
+
+
+def _lockstep(ds: DocumentSet, live: list, cfg: Phase1Config,
+              errors: dict[int, str]) -> dict[int, WordKnowledge]:
+    """train_words' loop: the entries of the words that finish, by word;
+    the message of each word that fails goes into errors."""
+    C = cfg.num_clauses
+    bank = init_bank(len(live) * C, 1, ds.V, cfg.N, cfg.T, cfg.s)
+    rngs = [rng for *_, rng in live]
+    for _ in range(cfg.epochs * cfg.r):
+        picked, q, failed = [], [], []
+        for b, (w, pools, rng) in enumerate(live):
+            q_b = int(rng.integers(2))
+            try:
+                picked.append(pick_documents(ds, w, q_b, cfg.a, rng, pools))
+            except ValueError as err:
+                errors[w] = str(err)
+                failed.append(b)
+            else:
+                q.append(q_b)
+        if failed:
+            keep = [b for b in range(len(live)) if b not in failed]
+            live = [live[b] for b in keep]
+            if not live:
+                break
+            rngs = [rngs[b] for b in keep]
+            bank = bank.take((np.array(keep)[:, None] * C
+                              + np.arange(C)).ravel())
+        x = ds.vectors(np.concatenate(picked), [p.size for p in picked])
+        update_stack(bank, x, q, rngs)
+    return {w: from_bank(bank.take(slice(b * C, (b + 1) * C)), w)
+            for b, (w, _, _) in enumerate(live)}
+
+
 def train_word(ds: DocumentSet, word: int, cfg: Phase1Config) -> WordKnowledge:
-    """Train one word's machine and extract its nonzero-weight clauses."""
-    if not 0 <= word < ds.V:
-        raise ValueError(f"word index {word} out of range")
-    pools = document_pools(ds, word)
-    if pools[1].size == 0:
-        raise ValueError(f"no supporting documents for word {word}")
-    rng = _word_rng(cfg, word)
-    bank = init_bank(cfg.num_clauses, 1, ds.V, cfg.N, cfg.T, cfg.s)
-    for _ in range(cfg.epochs):
-        for _ in range(cfg.r):
-            q = int(rng.integers(2))
-            x = build_x_from_documents(ds, word, q, cfg.a, rng, pools)
-            update(bank, x, 0, q, rng)
-    return from_bank(bank, word)
+    """Train one word's machine, a batch of one, and extract its
+    nonzero-weight clauses; a failure raises ValueError with the message
+    the store would record."""
+    entry, error = train_words(ds, [word], cfg)[0]
+    if error is not None:
+        raise ValueError(error)
+    return entry
+
+
+def _batches(num_words: int, size: int, workers: int) -> list[range]:
+    """range(num_words) in contiguous batches of at most `size` words, as
+    even as they can be; while there are words enough, a multiple of
+    `workers` of them, so that every worker gets an even share."""
+    n = min(num_words, workers * -(-num_words // (size * workers)))
+    cuts = [num_words * i // n for i in range(n + 1)] if n else []
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 # The DocumentSet a Phase-1 worker process trains on, set once by _init_worker.
@@ -106,41 +187,34 @@ def _init_worker(ds: DocumentSet) -> None:
     _worker_ds = ds
 
 
-def train_or_error(ds: DocumentSet, word: int, cfg: Phase1Config
-                   ) -> tuple[WordKnowledge, str | None]:
-    """A word's store entry and failure message: a word whose training fails
-    becomes an empty entry plus the error's text."""
-    try:
-        return train_word(ds, word, cfg), None
-    except ValueError as err:
-        return WordKnowledge(word, NO_CLAUSES), str(err)
-
-
-def _train_in_worker(word: int, cfg: Phase1Config
-                     ) -> tuple[WordKnowledge, str | None]:
-    return train_or_error(_worker_ds, word, cfg)
+def _train_in_worker(words: range, cfg: Phase1Config
+                     ) -> list[tuple[WordKnowledge, str | None]]:
+    return train_words(_worker_ds, words, cfg)
 
 
 def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
               parallelism: int = 1) -> KnowledgeStore:
     """Train every vocabulary word independently.
 
-    Per-word failures are recorded in the store (empty entry + message); they
-    never abort the batch. Results are identical for any parallelism level.
-    With parallelism > 1, up to one worker process per word is started and
-    each receives the DocumentSet once; a task carries only (word, cfg).
+    Words train in lockstep batches of up to `batch_size` words
+    (`train_words`). Per-word failures are recorded in the store (empty
+    entry + message); they never abort the batch. Results are identical
+    for any parallelism level. With parallelism > 1, up to that many
+    worker processes are started, one batch is a task and the words are
+    cut into batches that share out evenly among the workers; each worker
+    receives the DocumentSet once, and a task carries only (words, cfg).
     """
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
-    words = range(vocab.size)
-    workers = min(parallelism, vocab.size)
+    batches = _batches(vocab.size, batch_size(ds.V, cfg), parallelism)
+    workers = min(parallelism, len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(ds,)) as pool:
-            results = list(pool.map(_train_in_worker, words, repeat(cfg)))
+            results = list(pool.map(_train_in_worker, batches, repeat(cfg)))
     else:
-        results = [train_or_error(ds, w, cfg) for w in words]
-    for w, (entry, msg) in zip(words, results):
+        results = [train_words(ds, words, cfg) for words in batches]
+    for w, (entry, msg) in enumerate(chain.from_iterable(results)):
         store.entries[w] = entry
         if msg is not None:
             store.failures[w] = msg

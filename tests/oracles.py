@@ -576,3 +576,29 @@ def byte_update(bank: DenseBank, x, o: int, q: int,
                 rng: np.random.Generator) -> None:
     """update with feedback masks from random bytes, as cotm.update draws them."""
     update(bank, x, o, q, rng, draw=byte_draw)
+
+
+# Phase 1 as it was before words trained in lockstep batches: each word on a
+# bank of its own, one update per example. Verbatim, but on DenseBank with
+# byte_update, and returning Clause tuples.
+
+def train_word_loopwise(ds, word, cfg) -> tuple[Clause, ...]:
+    """One word's nonzero-weight clauses after training it alone."""
+    from tmembed.phase1 import document_pools
+
+    if not 0 <= word < ds.V:
+        raise ValueError(f"word index {word} out of range")
+    pools = document_pools(ds, word)
+    if pools[1].size == 0:
+        raise ValueError(f"no supporting documents for word {word}")
+    rng = np.random.default_rng([cfg.seed, word])
+    shape = (cfg.num_clauses, 2 * ds.V)
+    bank = DenseBank(states=np.full(shape, cfg.N, dtype=np.int32),
+                     weights=np.zeros((cfg.num_clauses, 1), dtype=np.int32),
+                     N=cfg.N, T=cfg.T, s=cfg.s)
+    for _ in range(cfg.epochs):
+        for _ in range(cfg.r):
+            q = int(rng.integers(2))
+            x = build_x_from_documents(ds, word, q, cfg.a, rng, pools)
+            byte_update(bank, x, 0, q, rng)
+    return from_bank(bank, word)

@@ -729,6 +729,40 @@ def test_classify_rejects_bad_bank_settings_before_reading_inputs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["phase1", "phase2", "classify"])
+def test_s_nan_is_a_usage_error(workdir, capsys, command, via):
+    # NaN fails every comparison, so "s <= 1" let it through
+    tmp, corpus, targets = workdir
+    fast = FAST[:FAST.index("--s")] + FAST[FAST.index("--s") + 2:]
+    out = tmp / "out.txt"
+    if command == "phase1":
+        argv = ["phase1", corpus, "--vocab-size", 6, "--out", out] + fast
+    elif command == "phase2":
+        store, vocab_file, _ = pipeline(tmp, corpus, targets)
+        argv = ["phase2", store, targets, "--vocab", vocab_file,
+                "--out", out] + fast
+    else:
+        _, paths, vpath = sentiment_files(tmp)
+        argv = ["classify", "--train", paths["train"][0], "--train-labels",
+                paths["train"][1], "--test", paths["test"][0],
+                "--test-labels", paths["test"][1], "--vocab", vpath,
+                "--out", out]
+    if via == "flag":
+        argv += ["--s", "nan"]
+    else:
+        config = tmp / "nan.json"
+        config.write_text('{"s": NaN}')
+        argv += ["--config", config]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "s must be > 1" in capsys.readouterr().err
+    assert not out.exists() and not (tmp / "out.txt.vocab").exists()
+    assert not (tmp / "out.txt.manifest.json").exists()
+
+
 def test_phase1_word_retrain_twice_in_one_process_is_byte_identical(workdir):
     tmp, corpus, targets = workdir
     store_path, vocab_file, _ = pipeline(tmp, corpus, targets)

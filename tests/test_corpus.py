@@ -177,6 +177,32 @@ def test_vector_matches_the_negation_closed_union_oracle():
 
 
 
+def test_vectors_build_each_row_from_its_own_documents():
+    # rows of 0, 1 or several ids, repeated ids and empty documents, as
+    # lists and arrays; row i is the union of the next counts[i] ids
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        V = int(rng.integers(1, 8))
+        vocab = corpus.Vocabulary.from_words([f"w{i}" for i in range(V)])
+        raw = [[f"w{j}" for j in rng.integers(0, V + 2, size=rng.integers(0, 5))]
+               for _ in range(rng.integers(1, 9))]
+        ds = corpus.vectorize(raw, vocab)
+        held = [{vocab.index_of[t] for t in doc if t in vocab.index_of}
+                for doc in raw]
+        counts = rng.integers(0, 4, size=rng.integers(1, 6)).tolist()
+        ids = rng.integers(0, ds.num_docs, size=sum(counts))
+        want = np.stack([negation_closed_vector(
+            set().union(*(held[d] for d in ids[sum(counts[:i]):][:n])), V)
+            for i, n in enumerate(counts)])
+        for given in (ids, ids.tolist()):
+            got = ds.vectors(given, counts)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="document id 9 out of range for"):
+        ds.vectors([0, 9], [1, 1])
+    assert ds.vectors([], [0, 0]).tolist() == [[0] * V + [1] * V] * 2
+
+
 def test_vector_rejects_an_id_outside_the_document_set():
     vocab = corpus.Vocabulary.from_words(["a", "b"])
     ds = corpus.vectorize([["a"], ["b"]], vocab)

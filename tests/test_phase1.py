@@ -255,3 +255,98 @@ def test_pick_documents_rejects_a_target_bit_other_than_0_or_1(q, with_pools):
         phase1.pick_documents(ds, 0, q, 3, rng, pools)
     with pytest.raises(ValueError, match="target bit"):
         phase1.build_x_from_documents(ds, 0, q, 3, rng, pools)
+
+
+# Seven words: w3 is in no document, so it fails before training; w5 is in
+# every document, so it fails at its first q=0 draw. Under BATCH_CELLS of
+# three banks the serial batches are [w0 w1] [w2 w3] [w4 w5 w6]: w5 fails
+# in mid-batch and the vocabulary does not divide evenly into batches.
+BATCH_CFG = phase1.Phase1Config(r=20, a=3, epochs=2, num_clauses=6, T=6,
+                                s=2.0, N=8, seed=21)
+
+
+def batch_corpus():
+    rng = np.random.default_rng(22)
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(7)])
+    raw = [[f"w{i}" for i in (0, 1, 2, 4, 6) if rng.random() < 0.4] + ["w5"]
+           for _ in range(24)]
+    return vocab, vectorize(raw, vocab)
+
+
+@pytest.fixture(scope="module")
+def loopwise_batch_words():
+    """Each word of batch_corpus trained alone by the oracle: its clause
+    tuples, or its error message."""
+    _, ds = batch_corpus()
+    out = {}
+    for w in range(ds.V + 1):  # w7 is out of range
+        try:
+            out[w] = oracles.train_word_loopwise(ds, w, BATCH_CFG)
+        except ValueError as err:
+            out[w] = str(err)
+    assert all(out[w] for w in (0, 1, 2, 4, 6))  # every trained word learned
+    return out
+
+
+def assert_matches_loopwise(entry, error, word, expected):
+    if isinstance(expected, str):
+        assert error == expected
+        assert entry == WordKnowledge(word, ())
+    else:
+        assert error is None
+        assert entry.word == word
+        assert clause_tuples(entry) == expected
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_train_all_batches_match_each_word_trained_alone(
+        monkeypatch, loopwise_batch_words, parallelism):
+    vocab, ds = batch_corpus()
+    monkeypatch.setattr(phase1, "BATCH_CELLS",
+                        3 * BATCH_CFG.num_clauses * 2 * ds.V)
+    assert phase1.batch_size(ds.V, BATCH_CFG) == 3
+    if parallelism == 1:
+        assert phase1._batches(ds.V, 3, 1) == [range(0, 2), range(2, 4),
+                                               range(4, 7)]
+    store = phase1.train_all(ds, vocab, BATCH_CFG, parallelism=parallelism)
+    assert store.failures == {3: "no supporting documents for word 3",
+                              5: "no non-supporting documents for word 5"}
+    for w in range(ds.V):
+        assert_matches_loopwise(store.entries[w], store.failures.get(w), w,
+                                loopwise_batch_words[w])
+
+
+def test_a_failing_word_leaves_the_rest_of_its_batch_alone(
+        loopwise_batch_words):
+    # any order, a word twice, failures first, in mid-batch and last
+    _, ds = batch_corpus()
+    words = [5, 6, 3, 0, 5, 7, 2, 4]
+    results = phase1.train_words(ds, words, BATCH_CFG)
+    assert len(results) == len(words)
+    for w, (entry, error) in zip(words, results):
+        assert_matches_loopwise(entry, error, w, loopwise_batch_words[w])
+    assert results[5][1] == "word index 7 out of range"
+    assert phase1.train_words(ds, [], BATCH_CFG) == []
+
+
+def test_batches_cut_words_into_even_contiguous_shares():
+    for num_words in range(40):
+        for size in range(1, 7):
+            for workers in range(1, 5):
+                batches = phase1._batches(num_words, size, workers)
+                assert [w for b in batches for w in b] == list(range(num_words))
+                lengths = [len(b) for b in batches]
+                assert all(1 <= n <= size for n in lengths)
+                if lengths:
+                    assert max(lengths) - min(lengths) <= 1
+                    assert len(batches) % workers == 0 or max(lengths) == 1
+                # no more batches than evenness needs
+                assert len(batches) < -(-num_words // size) + workers
+
+
+def test_batch_size_follows_the_cell_budget():
+    wide = phase1.Phase1Config(num_clauses=160)
+    small = phase1.Phase1Config(num_clauses=64)
+    assert phase1.batch_size(202, small) == 20
+    assert phase1.batch_size(200, wide) == 8
+    assert phase1.batch_size(2000, phase1.Phase1Config()) == 1

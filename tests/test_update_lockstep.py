@@ -16,7 +16,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import DenseBank, byte_update, update as dense_update
+from oracles import (DenseBank, _clamped_vote, _clause_outputs, byte_update,
+                     update as dense_update)
 from tmembed import cotm
 
 STEPS = 40
@@ -117,3 +118,52 @@ def test_update_raises_the_oracles_errors_before_any_draw(dx, o, q):
     assert str(lib_err.value) == str(oracle_err.value)
     assert_same(bank, oracle, lib_rng, oracle_rng)
     assert lib_rng.bit_generator.state == untouched
+
+
+@pytest.mark.parametrize("B", [1, 2, 7])
+@pytest.mark.parametrize("s", [1.5, 2.0, 5.0])
+def test_update_stack_steps_each_bank_in_lockstep_with_the_oracle(B, s):
+    # B banks of C clauses in one stack, each beside byte_update on a bank
+    # and a generator of its own; each bank draws its own target bit, so a
+    # step mixes them. Bank 0's weights are large, so its vote often
+    # saturates; random_states leaves clause 0 empty.
+    rng = np.random.default_rng([B, int(s * 2)])
+    C, V, N, T = 5, 4, 8, 3
+    dense, dense_rngs, rngs = [], [], []
+    for b in range(B):
+        states = random_states(rng, C, V, N, str(rng.choice(
+            ["uniform", "extremes", "sparse"])))
+        high = 4 * T if b == 0 else 2 * T
+        weights = rng.integers(-high // 2, high + 1,
+                               size=(C, 1)).astype(np.int32)
+        dense.append(DenseBank(states=states, weights=weights, N=N, T=T,
+                               s=s))
+        seed = int(rng.integers(2 ** 32))
+        dense_rngs.append(np.random.default_rng(seed))
+        rngs.append(np.random.default_rng(seed))
+    stack = cotm.ClauseBank(
+        states=np.concatenate([d.states for d in dense]),
+        weights=np.concatenate([d.weights for d in dense]), N=N, T=T, s=s)
+    seen = {"saturated": 0, "q mixed": 0, "empty clause": 0}
+    for _ in range(STEPS):
+        x = np.stack([random_input(rng, V) for _ in range(B)])
+        q = rng.integers(2, size=B).tolist()
+        seen["q mixed"] += len(set(q)) == 2
+        for b, oracle in enumerate(dense):
+            out_train, out_infer = _clause_outputs(oracle, x[b])
+            v = _clamped_vote(oracle, out_infer, 0)
+            seen["saturated"] += v == (T if q[b] == 1 else -T)
+            seen["empty clause"] += not oracle.included().any(axis=1).all()
+            byte_update(oracle, x[b], 0, q[b], dense_rngs[b])
+        cotm.update_stack(stack, x, q, rngs)
+        for b, oracle in enumerate(dense):
+            rows = slice(b * C, (b + 1) * C)
+            assert np.array_equal(stack.states[rows], oracle.states)
+            assert np.array_equal(stack.weights[rows], oracle.weights)
+            assert np.array_equal(stack.included()[rows],
+                                  oracle.states > N)
+            assert rngs[b].bit_generator.state == \
+                dense_rngs[b].bit_generator.state
+    assert seen["saturated"] > 0
+    assert B == 1 or seen["q mixed"] > 0
+    assert seen["empty clause"] > 0

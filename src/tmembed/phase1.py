@@ -106,10 +106,10 @@ def train_words(ds: DocumentSet, words, cfg: Phase1Config
     The machines sit in one stacked bank, num_clauses clauses each. At each
     step every word draws from its own stream exactly what it draws when
     trained alone: its target bit and its documents, then, inside
-    `cotm.update_stack`, its selection uniforms and its feedback masks. So a word's entry
-    does not depend on the batch it trains in. A word whose training fails
-    becomes an empty entry plus the error's text and leaves the batch; the
-    others go on.
+    `cotm.update_stack`, its selection uniforms and its feedback masks. So
+    a word's entry does not depend on the batch it trains in. A word whose
+    training fails becomes an empty entry plus the error's text and leaves
+    the batch; the others go on.
     """
     errors: dict[int, str] = {}
     live = []  # (word, document pools, generator) of each word in training

@@ -255,6 +255,11 @@ def _walk(data: bytes, vocab: Vocabulary) -> Iterator[tuple]:
                     raise truncated(pos - 4 * counts[-1])
         except struct.error:
             raise truncated(pos) from None
+        except UnicodeDecodeError as err:  # pos is the message's first byte
+            raise ValueError(
+                f"corrupt knowledge file: failure message of word {word} at "
+                f"byte {pos + err.start} is not UTF-8 "
+                f"(last good word index: {last_good})") from None
         if pos != start + 4 + record_len:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} ends at byte "

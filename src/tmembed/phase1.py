@@ -103,16 +103,17 @@ def train_words(ds: DocumentSet, words, cfg: Phase1Config
     """Train the words' machines in lockstep; each word's store entry and
     failure message (None if it trained), in the order given.
 
-    The machines sit in one stacked bank, num_clauses clauses each. At each
+    A word fails before training starts, as an empty entry plus the
+    message, when its index is out of range or it has no supporting or no
+    non-supporting documents; every other word trains to the end. The
+    machines sit in one stacked bank, num_clauses clauses each. At each
     step every word draws from its own stream exactly what it draws when
     trained alone: its target bit and its documents, then, inside
     `cotm.update_stack`, its selection uniforms and its feedback masks. So
-    a word's entry does not depend on the batch it trains in. A word whose
-    training fails becomes an empty entry plus the error's text and leaves
-    the batch; the others go on.
+    a word's entry does not depend on the batch it trains in.
     """
     errors: dict[int, str] = {}
-    live = []  # (word, document pools, generator) of each word in training
+    live = []  # (word, document pools, generator) of each word that trains
     for w in words:
         if not 0 <= w < ds.V:
             errors[w] = f"word index {w} out of range"
@@ -120,43 +121,26 @@ def train_words(ds: DocumentSet, words, cfg: Phase1Config
         pools = document_pools(ds, w)
         if pools[1].size == 0:
             errors[w] = f"no supporting documents for word {w}"
+        elif pools[0].size == 0:
+            errors[w] = f"no non-supporting documents for word {w}"
         else:
             live.append((w, pools, _word_rng(cfg, w)))
-    trained = _lockstep(ds, live, cfg, errors) if live else {}
+    trained = {}
+    if live:
+        C = cfg.num_clauses
+        bank = init_bank(len(live) * C, 1, ds.V, cfg.N, cfg.T, cfg.s)
+        rngs = [rng for *_, rng in live]
+        for _ in range(cfg.epochs * cfg.r):
+            picked, q = [], []
+            for w, pools, rng in live:
+                q.append(int(rng.integers(2)))
+                picked.append(pick_documents(ds, w, q[-1], cfg.a, rng, pools))
+            x = ds.vectors(np.concatenate(picked), [p.size for p in picked])
+            update_stack(bank, x, q, rngs)
+        trained = {w: from_bank(bank.take(slice(b * C, (b + 1) * C)), w)
+                   for b, (w, _, _) in enumerate(live)}
     return [(trained[w], None) if w in trained
             else (WordKnowledge(w, NO_CLAUSES), errors[w]) for w in words]
-
-
-def _lockstep(ds: DocumentSet, live: list, cfg: Phase1Config,
-              errors: dict[int, str]) -> dict[int, WordKnowledge]:
-    """train_words' loop: the entries of the words that finish, by word;
-    the message of each word that fails goes into errors."""
-    C = cfg.num_clauses
-    bank = init_bank(len(live) * C, 1, ds.V, cfg.N, cfg.T, cfg.s)
-    rngs = [rng for *_, rng in live]
-    for _ in range(cfg.epochs * cfg.r):
-        picked, q, failed = [], [], []
-        for b, (w, pools, rng) in enumerate(live):
-            q_b = int(rng.integers(2))
-            try:
-                picked.append(pick_documents(ds, w, q_b, cfg.a, rng, pools))
-            except ValueError as err:
-                errors[w] = str(err)
-                failed.append(b)
-            else:
-                q.append(q_b)
-        if failed:
-            keep = [b for b in range(len(live)) if b not in failed]
-            live = [live[b] for b in keep]
-            if not live:
-                break
-            rngs = [rngs[b] for b in keep]
-            bank = bank.take((np.array(keep)[:, None] * C
-                              + np.arange(C)).ravel())
-        x = ds.vectors(np.concatenate(picked), [p.size for p in picked])
-        update_stack(bank, x, q, rngs)
-    return {w: from_bank(bank.take(slice(b * C, (b + 1) * C)), w)
-            for b, (w, _, _) in enumerate(live)}
 
 
 def train_word(ds: DocumentSet, word: int, cfg: Phase1Config) -> WordKnowledge:
@@ -197,12 +181,13 @@ def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
     """Train every vocabulary word independently.
 
     Words train in lockstep batches of up to `batch_size` words
-    (`train_words`). Per-word failures are recorded in the store (empty
-    entry + message); they never abort the batch. Results are identical
-    for any parallelism level. With parallelism > 1, up to that many
-    worker processes are started, one batch is a task and the words are
-    cut into batches that share out evenly among the workers; each worker
-    receives the DocumentSet once, and a task carries only (words, cfg).
+    (`train_words`). A word that cannot train fails before its batch starts
+    (empty entry + message in the store); every other word trains to the
+    end. Results are identical for any parallelism level. With
+    parallelism > 1, up to that many worker processes are started, one
+    batch is a task and the words are cut into batches that share out
+    evenly among the workers; each worker receives the DocumentSet once,
+    and a task carries only (words, cfg).
     """
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
     batches = _batches(vocab.size, batch_size(ds.V, cfg), parallelism)

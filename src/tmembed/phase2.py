@@ -15,6 +15,7 @@ active-literal set has the law of sampling the clauses one at a time.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -274,10 +275,10 @@ def load_embeddings(path, num_literals: int | None = None
     Sparse files need num_literals (2V) unless at least one row's last
     coordinate is nonzero; dense files carry their width implicitly, and
     rows narrower than num_literals are zero-padded. A token with no cells
-    is a zero row. A malformed cell, a negative literal index, a dense row
-    whose width differs from the file's other dense rows, a row wider than
-    num_literals (a literal index at or above it, or more values), or a
-    token seen twice raises ValueError naming the line.
+    is a zero row. A malformed or non-finite cell, a negative literal index,
+    a dense row whose width differs from the file's other dense rows, a row
+    wider than num_literals (a literal index at or above it, or more
+    values), or a token seen twice raises ValueError naming the line.
     """
     tokens: list[str] = []
     parsed: list[tuple[bool, list]] = []
@@ -306,6 +307,12 @@ def load_embeddings(path, num_literals: int | None = None
                     cells = list(map(float, rest.split()))
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None
+            values = [v for _, v in cells] if is_sparse else cells
+            # A finite sum has finite terms, and summing is about 4x cheaper
+            # than testing each value; a non-finite sum may be an overflow.
+            if not (math.isfinite(sum(values))
+                    or all(map(math.isfinite, values))):
+                raise ValueError(f"{where}: non-finite value")
             if is_sparse:
                 if min(l for l, _ in cells) < 0:
                     raise ValueError(f"{where}: negative literal index")

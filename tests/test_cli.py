@@ -380,6 +380,31 @@ def test_augment_rejects_corrupt_embeddings(tmp_path, capsys):
     assert err.startswith("error: ") and "duplicate token" in err
 
 
+NON_FINITE_EMBEDDINGS = {"sparse": "good 0:1\nbad 0:{} 1:1\ngreat 1:1\n",
+                         "dense": "good 1 0\nbad {} 1\ngreat 0 1\n"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cells", ["sparse", "dense"])
+@pytest.mark.parametrize("command", ["eval", "augment"])
+def test_eval_and_augment_reject_a_non_finite_embedding_value(
+        tmp_path, capsys, command, cells, value):
+    _, paths, vpath = sentiment_files(tmp_path)
+    train_c, train_l = paths["train"]
+    emb_path = tmp_path / "emb.txt"
+    emb_path.write_text(NON_FINITE_EMBEDDINGS[cells].format(value))
+    bench = tmp_path / "pairs.tsv"
+    bench.write_text("good\tgreat\t9\ngood\tbad\t1\nbad\tgreat\t2\n")
+    out = tmp_path / "out.txt"
+    args = (["eval", emb_path, bench] if command == "eval" else
+            ["augment", train_c, train_l, "--vocab", vpath,
+             "--embeddings", emb_path])
+    assert run(args + ["--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {emb_path}:2: non-finite value\n"
+    assert not out.exists()
+    assert not (tmp_path / "out.txt.manifest.json").exists()
+
+
 @pytest.mark.parametrize("cells", ["sparse", "dense"])
 def test_augment_rejects_embeddings_wider_than_the_vocabulary(tmp_path, capsys,
                                                              cells):
@@ -777,6 +802,31 @@ def test_phase1_word_retrain_twice_in_one_process_is_byte_identical(workdir):
     assert once != batch
     assert run(retrain + ["--seed", 99]) == 0
     assert store_path.read_bytes() == once
+
+
+def test_phase1_word_rejects_a_failure_message_that_is_not_utf8(tmp_path,
+                                                               capsys):
+    # "the" is in every document, so the store records its failure
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(["the sun moon"] * 10 + ["the car road"] * 10)
+                      + "\n")
+    vocab_file = tmp_path / "v.txt"
+    store_path = tmp_path / "k.tmk"
+    assert run(["phase1", corpus, "--vocab-size", 5, "--vocab-out", vocab_file,
+                "--out", store_path] + FAST) == 0
+    word = vocab_file.read_text().split().index("the")
+    data = store_path.read_bytes()
+    bad = data.index(f"no non-supporting documents for word {word}".encode())
+    store_path.write_bytes(data[:bad] + b"\xff" + data[bad + 1:])
+    damaged = store_path.read_bytes()
+    capsys.readouterr()
+    assert run(["phase1", corpus, "--vocab", vocab_file, "--word", "sun",
+                "--out", store_path] + FAST) == 1
+    assert capsys.readouterr().err == (
+        f"error: corrupt knowledge file: failure message of word {word} at "
+        f"byte {bad} is not UTF-8 (last good word index: "
+        f"{word - 1 if word else None})\n")
+    assert store_path.read_bytes() == damaged
 
 
 def test_phase1_word_rejects_every_cut_of_the_store(workdir, capsys):

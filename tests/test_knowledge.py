@@ -363,6 +363,17 @@ def test_load_rejects_flags_save_never_writes(tmp_path):
         knowledge.load(path, vocab)
 
 
+@pytest.mark.parametrize("offset", [0, 5])
+def test_load_names_a_failure_message_that_is_not_utf8(tmp_path, offset):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    bad = data.index(b"no supporting documents for word 2") + offset
+    path.write_bytes(data[:bad] + b"\xff" + data[bad + 1:])
+    with pytest.raises(ValueError, match=(
+            rf"^corrupt knowledge file: failure message of word 2 at byte "
+            rf"{bad} is not UTF-8 \(last good word index: 1\)$")):
+        knowledge.load(path, vocab)
+
+
 def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
     """Random byte flips, cuts and insertions: load gives the reader's store,
     or its message; faults only the walker checks may come first."""
@@ -394,6 +405,9 @@ def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
         except ValueError as err:
             got = str(err)
             if any(m in got for m in walker_only):
+                continue
+            if " is not UTF-8 " in got:  # the reader's bare codec error
+                assert want.startswith("'utf-8' codec can't decode"), (trial, cut)
                 continue
         if isinstance(want, str) or isinstance(got, str):
             assert got == want, (trial, cut)

@@ -329,6 +329,61 @@ def test_a_failing_word_leaves_the_rest_of_its_batch_alone(
     assert phase1.train_words(ds, [], BATCH_CFG) == []
 
 
+# w2 is in every document, and under EVERYWHERE_CFG (one step) its only
+# target bit is 1, so it never draws the q=0 example it cannot have. It
+# fails all the same, before training starts, as under any longer run.
+EVERYWHERE_CFG = phase1.Phase1Config(r=1, a=2, epochs=1, num_clauses=4, T=4,
+                                     s=2.0, N=8, seed=0)
+EVERYWHERE_ERROR = "no non-supporting documents for word 2"
+
+
+def everywhere_corpus():
+    vocab = Vocabulary.from_words(["w0", "w1", "w2", "w3"])
+    raw = [["w0", "w2"], ["w1", "w2"], ["w2", "w3"], ["w0", "w1", "w2", "w3"]]
+    return vocab, vectorize(raw, vocab)
+
+
+@pytest.fixture(scope="module")
+def loopwise_everywhere_words():
+    _, ds = everywhere_corpus()
+    assert np.random.default_rng([EVERYWHERE_CFG.seed, 2]).integers(2) == 1
+    # the per-step loop alone never meets w2's failure
+    oracles.train_word_loopwise(ds, 2, EVERYWHERE_CFG)
+    out = {w: oracles.train_word_loopwise(ds, w, EVERYWHERE_CFG)
+           for w in (0, 1, 3)}
+    out[2] = EVERYWHERE_ERROR
+    return out
+
+
+def test_train_word_fails_a_word_in_every_document_that_never_draws_q0():
+    _, ds = everywhere_corpus()
+    with pytest.raises(ValueError, match=f"^{EVERYWHERE_ERROR}$"):
+        phase1.train_word(ds, 2, EVERYWHERE_CFG)
+
+
+def test_train_words_fails_a_word_in_every_document_in_mid_batch(
+        loopwise_everywhere_words):
+    _, ds = everywhere_corpus()
+    words = [0, 1, 2, 3]
+    results = phase1.train_words(ds, words, EVERYWHERE_CFG)
+    assert [error for _, error in results] == [None, None, EVERYWHERE_ERROR,
+                                               None]
+    for w, (entry, error) in zip(words, results):
+        assert_matches_loopwise(entry, error, w, loopwise_everywhere_words[w])
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_train_all_fails_a_word_in_every_document_that_never_draws_q0(
+        loopwise_everywhere_words, parallelism):
+    vocab, ds = everywhere_corpus()
+    store = phase1.train_all(ds, vocab, EVERYWHERE_CFG,
+                             parallelism=parallelism)
+    assert store.failures == {2: EVERYWHERE_ERROR}
+    for w in range(ds.V):
+        assert_matches_loopwise(store.entries[w], store.failures.get(w), w,
+                                loopwise_everywhere_words[w])
+
+
 def test_batches_cut_words_into_even_contiguous_shares():
     for num_words in range(40):
         for size in range(1, 7):

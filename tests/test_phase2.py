@@ -690,6 +690,26 @@ def test_load_embeddings_rejects_a_duplicate_token(tmp_path):
         phase2.load_embeddings(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("text", ["w0 1 0\nw1 0 {}\n", "w0 0:1\nw1 1:{}\n"],
+                         ids=["dense", "sparse"])
+def test_load_embeddings_rejects_a_non_finite_value(tmp_path, text, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(text.format(value))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "
+                                         rf"non-finite value$"):
+        phase2.load_embeddings(path, num_literals=2)
+
+
+@pytest.mark.parametrize("text", ["w0 1e308 1e308\n", "w0 0:1e308 1:1e308\n"],
+                         ids=["dense", "sparse"])
+def test_load_embeddings_keeps_finite_values_whose_sum_overflows(tmp_path,
+                                                                 text):
+    path = tmp_path / "emb.txt"
+    path.write_text(text)
+    assert phase2.load_embeddings(path)[1].tolist() == [[1e308, 1e308]]
+
+
 def test_load_embeddings_names_the_line_of_a_malformed_cell(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("w0 1 0\nw1 0 x\n")

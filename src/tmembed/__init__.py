@@ -7,8 +7,8 @@ from .cotm import ClauseBank, clause_output, init_bank, predict, update
 from .knowledge import (ClauseArrays, KnowledgeStore, WordKnowledge,
                         filter_by_polarity, from_bank)
 from .phase1 import Phase1Config, build_x_from_documents, train_all, train_word
-from .phase2 import (EmbeddingMatrix, build_x_phase2, extract_embedding,
-                     train_embedding)
+from .phase2 import (EmbeddingMatrix, PolarityIndex, build_x_phase2,
+                     extract_embedding, train_embedding)
 from .evaluation import (SimilarityReport, WordPairBenchmark, cosine, evaluate,
                          kendall, spearman)
 from .augment import (AugmentConfig, ClassifierConfig, accuracy,

@@ -108,49 +108,37 @@ def nearest_words(word: int, emb: EmbeddingMatrix, n: int, order: str = "most",
 
 
 def _substitution_pools(emb: EmbeddingMatrix, vocab: Vocabulary,
-                        cfg: AugmentConfig, labels,
-                        needed) -> dict[int, dict[int, list[int]]]:
-    """Each label's pools, {label: {word: pool}}, for every needed word;
-    each word's similarities are computed once for all labels."""
+                        cfg: AugmentConfig, needed
+                        ) -> dict[int, dict[int, list[int]]]:
+    """Both labels' pools, {label: {word: pool}}, for every needed embedded
+    word; each word's similarities are computed once for both labels."""
     # Dissimilar pools exclude stopwords; random junk words would still be
     # dissimilar, but frequent function words would wreck the document.
     stop = frozenset(vocab.index_of[t] for t in STOPWORDS if t in vocab.index_of)
-    rankings = {POSITIVE: ("most", frozenset()), NEGATIVE: ("least", stop)}
-    rank = _ranker(emb, [rankings[label] for label in labels])
+    rank = _ranker(emb, [("most", frozenset()), ("least", stop)])
     first_row: dict[int, int] = {}
     for i, w in enumerate(emb.words):
         first_row.setdefault(w, i)
-    pools = {label: {} for label in labels}
+    pools = {POSITIVE: {}, NEGATIVE: {}}
     for w in needed:
-        i = first_row.get(w)
         try:
-            ranked = [[] for _ in labels] if i is None else rank(i, cfg.pool_size)
+            ranked = rank(first_row[w], cfg.pool_size)
         except ValueError:  # a zero row ranks nothing
-            ranked = [[] for _ in labels]
-        for label, pool in zip(labels, ranked):
-            pools[label][w] = pool
+            ranked = [[], []]
+        pools[POSITIVE][w], pools[NEGATIVE][w] = ranked
     return pools
 
 
-def augment_document(tokens, label: int, emb: EmbeddingMatrix,
-                     vocab: Vocabulary, cfg: AugmentConfig,
-                     rng: np.random.Generator,
-                     pools: dict[int, list[int]] | None = None) -> list[str]:
+def augment_document(tokens, pools: dict[int, list[int]], vocab: Vocabulary,
+                     cfg: AugmentConfig, rng: np.random.Generator) -> list[str]:
     """Replace ceil(replace_fraction * replaceable) token positions from the
-    label's similarity pools; tokens without a usable pool are never selected.
-
-    pools maps word index to its pool, as augment_corpus builds them for every
-    embedded word of the corpus; without it the document's own are built."""
+    document's label's similarity pools (word index -> pool, as
+    augment_corpus builds them); tokens without a usable pool are never
+    selected."""
     tokens = list(tokens)
-    present = [(p, vocab.index_of[t]) for p, t in enumerate(tokens)
-               if t in vocab.index_of]
-    if pools is None:
-        _checked_labels([label], 1)
-        embedded = set(emb.words)
-        pools = _substitution_pools(emb, vocab, cfg, (label,),
-                                    {w for _, w in present if w in embedded}
-                                    )[label]
-    replaceable = [(p, w) for p, w in present if pools.get(w)]
+    index_of = vocab.index_of
+    replaceable = [(p, index_of[t]) for p, t in enumerate(tokens)
+                   if pools.get(index_of.get(t))]
     if not replaceable:
         return tokens
     n_replace = math.ceil(cfg.replace_fraction * len(replaceable))
@@ -171,10 +159,9 @@ def augment_corpus(docs, labels, emb: EmbeddingMatrix, vocab: Vocabulary,
     rng = np.random.default_rng(cfg.seed)
     index_of = vocab.index_of
     needed = {index_of[t] for doc in docs for t in doc if t in index_of}
-    pools_by_label = _substitution_pools(emb, vocab, cfg, (POSITIVE, NEGATIVE),
+    pools_by_label = _substitution_pools(emb, vocab, cfg,
                                          needed & set(emb.words))
-    return [augment_document(doc, label, emb, vocab, cfg, rng,
-                             pools_by_label[label])
+    return [augment_document(doc, pools_by_label[label], vocab, cfg, rng)
             for doc, label in zip(docs, labels)]
 
 

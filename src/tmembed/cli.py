@@ -207,7 +207,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 raise UsageError(
                     f"{config_path}: {key} must be "
                     f"{' or '.join(t.__name__ for t in want)}, got {value!r}")
-            cfg[key] = float(value) if float in want else value
+            try:  # a path is checked as its flag checks it
+                cfg[key] = known[key].type(value)
+            except argparse.ArgumentTypeError as err:
+                raise UsageError(f"{config_path}: {key}: {err}") from None
     cfg.update(given)
     for key in (k for k in _POSITIVE if k in cfg):
         source = ("--" + key.replace("_", "-") if key in given

@@ -222,6 +222,10 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
+    """One token per line, blank lines skipped; a file without a token
+    raises ValueError naming it."""
     with open_text(path) as fh:
-        words = [line.rstrip("\n") for line in fh]
-    return Vocabulary.from_words([w for w in words if w])
+        words = [w for w in (line.rstrip("\n") for line in fh) if w]
+    if not words:
+        raise ValueError(f"{path}: vocabulary has no tokens")
+    return Vocabulary.from_words(words)

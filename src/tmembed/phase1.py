@@ -46,23 +46,18 @@ class Phase1Config:
 
 def document_pools(ds: DocumentSet, word: int) -> tuple[np.ndarray, np.ndarray]:
     """The word's (non-supporting, supporting) document ids, indexed by q."""
+    if not 0 <= word < ds.V:
+        raise ValueError(f"word index {word} out of range")
     return ds.not_containing(word), ds.containing(word)
 
 
-def pick_documents(ds: DocumentSet, word: int, q: int, a: int,
-                   rng: np.random.Generator,
-                   pools: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> np.ndarray:
-    """min(a, eligible) distinct documents, uniform without replacement.
-
-    `pools` is the word's document_pools, when the caller has them: it only
-    saves recomputing them, so the draw and the rng state are the same.
-    """
-    if not 0 <= word < ds.V:
-        raise ValueError(f"word index {word} out of range")
+def pick_documents(pools: tuple[np.ndarray, np.ndarray], word: int, q: int,
+                   a: int, rng: np.random.Generator) -> np.ndarray:
+    """min(a, eligible) distinct documents of pools[q], uniform without
+    replacement; pools are the word's document_pools."""
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
-    eligible = (pools or document_pools(ds, word))[q]
+    eligible = pools[q]
     if eligible.size == 0:
         kind = "supporting" if q == 1 else "non-supporting"
         raise ValueError(f"no {kind} documents for word {word}")
@@ -71,12 +66,10 @@ def pick_documents(ds: DocumentSet, word: int, q: int, a: int,
 
 
 def build_x_from_documents(ds: DocumentSet, word: int, q: int, a: int,
-                           rng: np.random.Generator,
-                           pools: tuple[np.ndarray, np.ndarray] | None = None
-                           ) -> np.ndarray:
+                           rng: np.random.Generator) -> np.ndarray:
     """The negation-closed union of the picked documents' word sets: one
     training input of the word, drawn as `train_words` draws it."""
-    return ds.vector(pick_documents(ds, word, q, a, rng, pools))
+    return ds.vector(pick_documents(document_pools(ds, word), word, q, a, rng))
 
 
 def _word_rng(cfg: Phase1Config, word: int) -> np.random.Generator:
@@ -115,10 +108,11 @@ def train_words(ds: DocumentSet, words, cfg: Phase1Config
     errors: dict[int, str] = {}
     live = []  # (word, document pools, generator) of each word that trains
     for w in words:
-        if not 0 <= w < ds.V:
-            errors[w] = f"word index {w} out of range"
+        try:
+            pools = document_pools(ds, w)
+        except ValueError as err:
+            errors[w] = str(err)
             continue
-        pools = document_pools(ds, w)
         if pools[1].size == 0:
             errors[w] = f"no supporting documents for word {w}"
         elif pools[0].size == 0:
@@ -134,7 +128,7 @@ def train_words(ds: DocumentSet, words, cfg: Phase1Config
             picked, q = [], []
             for w, pools, rng in live:
                 q.append(int(rng.integers(2)))
-                picked.append(pick_documents(ds, w, q[-1], cfg.a, rng, pools))
+                picked.append(pick_documents(pools, w, q[-1], cfg.a, rng))
             x = ds.vectors(np.concatenate(picked), [p.size for p in picked])
             update_stack(bank, x, q, rngs)
         trained = {w: from_bank(bank.take(slice(b * C, (b + 1) * C)), w)

@@ -90,10 +90,13 @@ def _polarity(store: KnowledgeStore, q: int) -> _Polarity:
 class PolarityIndex:
     """Both polarities' clauses of one store as CSR tables (`_Polarity`),
     built once: each word is filtered once per polarity. A literal repeated
-    across clauses is an expandable word of each of them. Build a new index
-    after changing the store."""
+    across clauses is an expandable word of each of them. `V` and `words`
+    (the words with an entry) are the store's. Build a new index after
+    changing the store."""
 
     def __init__(self, store: KnowledgeStore):
+        self.V = store.V
+        self.words = frozenset(store.entries)
         self.by_q = (_polarity(store, 0), _polarity(store, 1))
 
 
@@ -164,9 +167,8 @@ def _subsets(starts: np.ndarray, counts: np.ndarray, a: int,
                            kept + np.repeat(shift, counts)[kept]])
 
 
-def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
-                   rng: np.random.Generator,
-                   index: PolarityIndex | None = None) -> np.ndarray:
+def build_x_phase2(index: PolarityIndex, word: int, q: int, a: int,
+                   rng: np.random.Generator) -> np.ndarray:
     """Two-level clause expansion into a literal vector (no negation closure).
 
     Level 1 samples min(a, available) clauses of the word's q polarity and
@@ -174,15 +176,14 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
     original feature with q-polarity knowledge, once per sampled clause that
     carries it: sample min(a, available) of that word's q-polarity clauses
     and collect their literals too. Negated literals (index >= V) are
-    activated but never expanded. Each level is one draw of uniform subsets.
-    Lookups go through index, which must have been built over this store;
-    without one, a fresh index serves this call only.
+    activated but never expanded. Each level is one draw of uniform subsets
+    from the store's polarity index.
     """
-    if word not in store.entries:
+    if word not in index.words:
         raise ValueError(f"word {word} has no knowledge entry")
     if q not in (0, 1):
         raise ValueError(f"target bit must be 0 or 1, got {q!r}")
-    t = (index or PolarityIndex(store)).by_q[int(q)]
+    t = index.by_q[int(q)]
     first, n = t.word_ptr[word], t.word_ptr[word + 1] - t.word_ptr[word]
     if not n:
         raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
@@ -195,7 +196,7 @@ def build_x_phase2(store: KnowledgeStore, word: int, q: int, a: int,
             starts, t.word_ptr[words + 1] - starts, a, rng)])
     if t.bad[ids].any():
         raise ValueError("literal index out of range")
-    x = np.zeros(2 * store.V, dtype=np.uint8)
+    x = np.zeros(2 * index.V, dtype=np.uint8)
     x[_gather(t.lit_ptr, t.literals, ids)] = 1
     return x
 
@@ -238,7 +239,7 @@ def train_embedding(store: KnowledgeStore, targets, cfg: Phase1Config,
             for oi in order:
                 stats.attempts += 1
                 try:
-                    x = build_x_phase2(store, targets[oi], q, cfg.a, rng, index)
+                    x = build_x_phase2(index, targets[oi], q, cfg.a, rng)
                 except ValueError:
                     stats.skips += 1
                     stats.skipped_words[targets[oi]] += 1
@@ -276,9 +277,10 @@ def load_embeddings(path, num_literals: int | None = None
     coordinate is nonzero; dense files carry their width implicitly, and
     rows narrower than num_literals are zero-padded. A token with no cells
     is a zero row. A malformed or non-finite cell, a negative literal index,
-    a dense row whose width differs from the file's other dense rows, a row
-    wider than num_literals (a literal index at or above it, or more
-    values), or a token seen twice raises ValueError naming the line.
+    a literal listed twice in a sparse row, a dense row whose width differs
+    from the file's other dense rows, a row wider than num_literals (a
+    literal index at or above it, or more values), or a token seen twice
+    raises ValueError naming the line.
     """
     tokens: list[str] = []
     parsed: list[tuple[bool, list]] = []
@@ -314,9 +316,14 @@ def load_embeddings(path, num_literals: int | None = None
                     or all(map(math.isfinite, values))):
                 raise ValueError(f"{where}: non-finite value")
             if is_sparse:
-                if min(l for l, _ in cells) < 0:
+                literals = [l for l, _ in cells]
+                if min(literals) < 0:
                     raise ValueError(f"{where}: negative literal index")
-                width = max(width, max(l for l, _ in cells) + 1)
+                if len(set(literals)) < len(literals):
+                    twice = next(l for l, n in Counter(literals).items()
+                                 if n > 1)
+                    raise ValueError(f"{where}: literal {twice} listed twice")
+                width = max(width, max(literals) + 1)
             elif cells:
                 if dense_width is None:
                     dense_width, dense_line = len(cells), lineno

@@ -368,11 +368,12 @@ def negation_closed_vector(features, V: int) -> np.ndarray:
     return x
 
 
-def build_x_from_documents(ds, word, q, a, rng, pools=None):
-    """Union the picked documents' word sets into a negation-closed vector."""
+def build_x_from_documents(ds, pools, word, q, a, rng):
+    """Union the word sets of the documents picked from the word's pools
+    into a negation-closed vector."""
     from tmembed.phase1 import pick_documents
 
-    picked = pick_documents(ds, word, q, a, rng, pools)
+    picked = pick_documents(pools, word, q, a, rng)
     if picked.size:
         docs = csr_rows(ds.ptr, ds.words)
         features = np.unique(np.concatenate([docs[d] for d in picked]))
@@ -599,6 +600,6 @@ def train_word_loopwise(ds, word, cfg) -> tuple[Clause, ...]:
     for _ in range(cfg.epochs):
         for _ in range(cfg.r):
             q = int(rng.integers(2))
-            x = build_x_from_documents(ds, word, q, cfg.a, rng, pools)
+            x = build_x_from_documents(ds, pools, word, q, cfg.a, rng)
             byte_update(bank, x, 0, q, rng)
     return from_bank(bank, word)

@@ -110,7 +110,8 @@ def test_c4_document_pick_count_bound():
                 eligible = eligible_documents(doc_sets, word, q)
                 if not eligible:
                     continue
-                picked = phase1.pick_documents(ds, word, q, a, rng)
+                picked = phase1.pick_documents(
+                    phase1.document_pools(ds, word), word, q, a, rng)
                 assert len(picked) == min(a, len(eligible))
                 checked += 1
 
@@ -129,7 +130,8 @@ def test_c5_expansion_matches_exhaustive_enumerator():
                 for q in (0, 1):
                     if not any((w > 0) == bool(q) for _, w in entries[word]):
                         continue
-                    x = phase2.build_x_phase2(store, word, q, a=10, rng=rng)
+                    x = phase2.build_x_phase2(phase2.PolarityIndex(store),
+                                              word, q, a=10, rng=rng)
                     assert set(np.flatnonzero(x).tolist()) == \
                         two_level_union(entries, word, q, V)
 

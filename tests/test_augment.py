@@ -98,19 +98,27 @@ def test_ranking_matches_loop_oracle_on_tied_integer_rows(seed):
 
 # ---- document augmentation ----
 
+def label_pools(emb, vocab, cfg, label):
+    """The label's pools of every embedded word, as augment_corpus builds
+    them for the words of its corpus."""
+    return aug._substitution_pools(emb, vocab, cfg, set(emb.words))[label]
+
+
 def test_positive_review_swaps_movie_for_film():
     vocab, emb = toy_embeddings()
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(["movie"], aug.POSITIVE, emb, vocab, cfg,
-                               np.random.default_rng(0))
+    out = aug.augment_document(["movie"],
+                               label_pools(emb, vocab, cfg, aug.POSITIVE),
+                               vocab, cfg, np.random.default_rng(0))
     assert out == ["film"]
 
 
 def test_negative_review_swaps_confusing_for_chaotic():
     vocab, emb = toy_embeddings()
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(["confusing"], aug.NEGATIVE, emb, vocab, cfg,
-                               np.random.default_rng(0))
+    out = aug.augment_document(["confusing"],
+                               label_pools(emb, vocab, cfg, aug.NEGATIVE),
+                               vocab, cfg, np.random.default_rng(0))
     assert out == ["chaotic"]
 
 
@@ -118,8 +126,8 @@ def test_document_without_replaceable_tokens_is_unchanged():
     vocab, emb = toy_embeddings()
     doc = ["zebra", "xylophone"]
     cfg = aug.AugmentConfig(replace_fraction=0.5, pool_size=2, seed=0)
-    out = aug.augment_document(doc, aug.POSITIVE, emb, vocab, cfg,
-                               np.random.default_rng(0))
+    out = aug.augment_document(doc, label_pools(emb, vocab, cfg, aug.POSITIVE),
+                               vocab, cfg, np.random.default_rng(0))
     assert out == doc and out is not doc
 
 
@@ -130,7 +138,9 @@ def test_replacement_budget_is_exact_and_oov_untouched():
     frac = 0.3
     cfg = aug.AugmentConfig(replace_fraction=frac, pool_size=2, seed=0)
     rng = np.random.default_rng(1)
-    out = aug.augment_document(tokens, aug.POSITIVE, emb, vocab, cfg, rng)
+    out = aug.augment_document(tokens,
+                               label_pools(emb, vocab, cfg, aug.POSITIVE),
+                               vocab, cfg, rng)
     replaceable = 9  # all embedded tokens; zzz and qqq are not
     changed = sum(1 for a, b in zip(tokens, out) if a != b)
     assert changed == math.ceil(frac * replaceable)
@@ -164,8 +174,9 @@ def test_stopwords_never_enter_dissimilar_pools():
     ])
     emb = EmbeddingMatrix(words=(0, 1, 2, 3), rows=rows)
     cfg = aug.AugmentConfig(replace_fraction=1.0, pool_size=1, seed=0)
-    out = aug.augment_document(["confusing"], aug.NEGATIVE, emb, vocab, cfg,
-                               np.random.default_rng(0))
+    out = aug.augment_document(["confusing"],
+                               label_pools(emb, vocab, cfg, aug.NEGATIVE),
+                               vocab, cfg, np.random.default_rng(0))
     assert out == ["chaotic"]
 
 
@@ -286,10 +297,6 @@ def test_library_rejects_a_label_outside_0_and_1(bad):
     for call in label_checked_calls([0, 1, bad]):
         with pytest.raises(ValueError, match=message):
             call()
-    vocab, emb = toy_embeddings()
-    with pytest.raises(ValueError, match=message):
-        aug.augment_document(["movie"], bad, emb, vocab, aug.AugmentConfig(),
-                             np.random.default_rng(0))
 
 
 # sha256 of the states and weights train_classifier returns for

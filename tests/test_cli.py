@@ -668,6 +668,11 @@ def test_every_config_field_is_set_by_flag_and_by_config_file(tmp_path,
     ("phase1", '{"vocab_out": 3}', "vocab_out"),
     ("classify", '{"s": [2]}', "s"),
     ("phase1", '{"r": 2', None),
+    ("phase1", '{"vocab": "missing.txt"}', "vocab: no such file: missing.txt"),
+    ("classify", '{"extra": "missing.txt", "extra_labels": "missing.txt"}',
+     "extra: no such file: missing.txt"),
+    ("classify", '{"extra_labels": "missing.txt", "extra": "missing.txt"}',
+     "extra_labels: no such file: missing.txt"),
 ])
 def test_config_file_value_of_the_wrong_type_is_usage_error(
         tmp_path, command, text, key):
@@ -702,6 +707,20 @@ def test_phase1_rejects_bad_bank_settings_before_training(workdir, capsys,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists() and not (tmp / "k.tmk.vocab").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+def test_phase1_rejects_a_vocabulary_file_without_tokens(workdir, capsys,
+                                                         text):
+    tmp, corpus, _ = workdir
+    empty = tmp / "empty.txt"
+    empty.write_text(text)
+    out = tmp / "k.tmk"
+    assert run(["phase1", corpus, "--vocab", empty, "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == \
+        f"error: {empty}: vocabulary has no tokens\n"
+    assert not out.exists() and not (tmp / "k.tmk.vocab").exists()
+    assert not (tmp / "k.tmk.manifest.json").exists()
 
 
 def test_phase2_rejects_bad_bank_settings_before_training(workdir, capsys):

@@ -44,7 +44,7 @@ def test_window_larger_than_supply_picks_everything():
     raw = [["t"]] * 10 + [["f"]] * 2
     ds = vectorize(raw, vocab)
     rng = np.random.default_rng(1)
-    picked = phase1.pick_documents(ds, 0, 1, 25, rng)
+    picked = phase1.pick_documents(phase1.document_pools(ds, 0), 0, 1, 25, rng)
     assert len(picked) == 10
     assert sorted(picked) == list(range(10))
 
@@ -54,7 +54,7 @@ def test_no_nonsupporting_documents():
     ds = vectorize([["t"], ["t"]], vocab)
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError, match="no non-supporting documents"):
-        phase1.pick_documents(ds, 0, 0, 3, rng)
+        phase1.pick_documents(phase1.document_pools(ds, 0), 0, 0, 3, rng)
 
 
 def test_no_supporting_documents():
@@ -62,7 +62,7 @@ def test_no_supporting_documents():
     ds = vectorize([["t"], ["t"]], vocab)
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="no supporting documents"):
-        phase1.pick_documents(ds, 1, 1, 3, rng)
+        phase1.pick_documents(phase1.document_pools(ds, 1), 1, 1, 3, rng)
 
 
 def test_picked_count_equals_min_of_window_and_eligible():
@@ -78,11 +78,12 @@ def test_picked_count_equals_min_of_window_and_eligible():
         a = int(rng.integers(1, 6))
         doc_sets = [set(d.tolist()) for d in csr_rows(ds.ptr, ds.words)]
         eligible = eligible_documents(doc_sets, word, q)
+        pools = phase1.document_pools(ds, word)
         if not eligible:
             with pytest.raises(ValueError):
-                phase1.pick_documents(ds, word, q, a, rng)
+                phase1.pick_documents(pools, word, q, a, rng)
             continue
-        picked = phase1.pick_documents(ds, word, q, a, rng)
+        picked = phase1.pick_documents(pools, word, q, a, rng)
         assert len(picked) == min(a, len(eligible))
         assert len(set(picked.tolist())) == len(picked)  # without replacement
         assert set(picked.tolist()) <= set(eligible)
@@ -100,18 +101,6 @@ def test_every_built_vector_is_negation_closed():
         assert np.array_equal(x[4:], 1 - x[:4])
 
 
-@pytest.mark.parametrize("q", [0, 1])
-def test_document_pools_leave_the_draws_unchanged(q):
-    _, ds = cooccurrence_corpus()
-    pools = phase1.document_pools(ds, 0)
-    plain, pooled = np.random.default_rng(6), np.random.default_rng(6)
-    for _ in range(50):
-        x = phase1.build_x_from_documents(ds, 0, q, 3, plain)
-        y = phase1.build_x_from_documents(ds, 0, q, 3, pooled, pools)
-        assert np.array_equal(x, y)
-        assert plain.bit_generator.state == pooled.bit_generator.state
-
-
 def test_build_x_from_documents_matches_the_unique_oracle():
     # the same vector, dtype, error and random stream as building the
     # vector from np.unique of the picked documents (tests/oracles.py)
@@ -127,16 +116,15 @@ def test_build_x_from_documents_matches_the_unique_oracle():
         for _ in range(30):
             word, q, a = int(rng.integers(V)), int(rng.integers(2)), \
                 int(rng.integers(1, 5))
-            pools = phase1.document_pools(ds, word) if rng.random() < 0.5 \
-                else None
+            pools = phase1.document_pools(ds, word)
             try:
-                expected = oracles.build_x_from_documents(ds, word, q, a,
-                                                          theirs, pools)
+                expected = oracles.build_x_from_documents(ds, pools, word, q,
+                                                          a, theirs)
             except ValueError as err:
                 with pytest.raises(ValueError, match=re.escape(str(err))):
-                    phase1.build_x_from_documents(ds, word, q, a, mine, pools)
+                    phase1.build_x_from_documents(ds, word, q, a, mine)
             else:
-                x = phase1.build_x_from_documents(ds, word, q, a, mine, pools)
+                x = phase1.build_x_from_documents(ds, word, q, a, mine)
                 assert x.dtype == expected.dtype
                 assert np.array_equal(x, expected)
             assert mine.bit_generator.state == theirs.bit_generator.state
@@ -245,16 +233,34 @@ def test_train_all_store_bytes_are_pinned(tmp_path, parallelism):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STORE_SHA256
 
 
-@pytest.mark.parametrize("q", [2, -1])
-@pytest.mark.parametrize("with_pools", [False, True])
-def test_pick_documents_rejects_a_target_bit_other_than_0_or_1(q, with_pools):
+@pytest.mark.parametrize("past", [-1, 0, 3], ids=["-1", "V", "V+3"])
+def test_a_word_index_out_of_range_fails_before_any_draw(past):
+    # -1 would wrap around the word table, and V and V + 3 fall off its end
     _, ds = cooccurrence_corpus()
-    pools = phase1.document_pools(ds, 0) if with_pools else None
+    w = -1 if past < 0 else ds.V + past
+    message = f"word index {w} out of range"
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for q in (0, 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            phase1.build_x_from_documents(ds, w, q, 3, rng)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            phase1.document_pools(ds, w)
+    assert rng.bit_generator.state == state
+    entry, error = phase1.train_words(ds, [w], phase1.Phase1Config(**DESK))[0]
+    assert error == message
+    assert entry == WordKnowledge(w, ())
+
+
+@pytest.mark.parametrize("q", [2, -1])
+def test_pick_documents_rejects_a_target_bit_other_than_0_or_1(q):
+    _, ds = cooccurrence_corpus()
+    pools = phase1.document_pools(ds, 0)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match=f"target bit must be 0 or 1, got {q}"):
-        phase1.pick_documents(ds, 0, q, 3, rng, pools)
+        phase1.pick_documents(pools, 0, q, 3, rng)
     with pytest.raises(ValueError, match="target bit"):
-        phase1.build_x_from_documents(ds, 0, q, 3, rng, pools)
+        phase1.build_x_from_documents(ds, 0, q, 3, rng)
 
 
 # Seven words: w3 is in no document, so it fails before training; w5 is in

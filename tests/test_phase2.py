@@ -33,15 +33,17 @@ def test_two_level_expansion_follows_clause_links():
         drive: [((vehicle, license_), 2)],
         vehicle: [((road,), 1), ((vehicle,), 3)],
     }, V=6)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(0)
-    x = phase2.build_x_phase2(store, drive, 1, a=10, rng=rng)
+    x = phase2.build_x_phase2(index, drive, 1, a=10, rng=rng)
     assert set(np.flatnonzero(x).tolist()) == {vehicle, license_, road}
 
 
 def test_single_literal_clause_with_unknown_word():
     _, store = make_store({0: [((4,), 1)]}, V=6)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(1)
-    x = phase2.build_x_phase2(store, 0, 1, a=1, rng=rng)
+    x = phase2.build_x_phase2(index, 0, 1, a=1, rng=rng)
     assert x.sum() == 1 and x[4] == 1
 
 
@@ -52,47 +54,52 @@ def test_negated_literals_activate_but_never_expand():
         0: [((neg3,), 1)],
         3: [((1, 2), 5)],  # would leak literals 1,2 if negations expanded
     }, V=V)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(2)
-    x = phase2.build_x_phase2(store, 0, 1, a=10, rng=rng)
+    x = phase2.build_x_phase2(index, 0, 1, a=10, rng=rng)
     assert set(np.flatnonzero(x).tolist()) == {neg3}
 
 
 def test_no_negation_closure_is_applied():
     _, store = make_store({0: [((1,), 1)]}, V=4)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(3)
-    x = phase2.build_x_phase2(store, 0, 1, a=1, rng=rng)
+    x = phase2.build_x_phase2(index, 0, 1, a=1, rng=rng)
     assert x.tolist() == [0, 1, 0, 0, 0, 0, 0, 0]  # negation half untouched
 
 
 def test_polarity_selection_uses_q():
     _, store = make_store({0: [((1,), 2), ((2,), -3)]}, V=4)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(4)
-    assert phase2.build_x_phase2(store, 0, 1, 5, rng)[1] == 1
-    assert phase2.build_x_phase2(store, 0, 0, 5, rng)[2] == 1
+    assert phase2.build_x_phase2(index, 0, 1, 5, rng)[1] == 1
+    assert phase2.build_x_phase2(index, 0, 0, 5, rng)[2] == 1
 
 
 def test_build_errors():
     _, store = make_store({0: [((1,), 2)]}, V=4)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="no knowledge entry"):
-        phase2.build_x_phase2(store, 3, 1, 2, rng)
+        phase2.build_x_phase2(index, 3, 1, 2, rng)
     with pytest.raises(ValueError, match="no q-polarity knowledge"):
-        phase2.build_x_phase2(store, 0, 0, 2, rng)
+        phase2.build_x_phase2(index, 0, 0, 2, rng)
     # a missing entry is reported before a bad target bit
     with pytest.raises(ValueError, match="no knowledge entry"):
-        phase2.build_x_phase2(store, 3, 2, 2, rng)
+        phase2.build_x_phase2(index, 3, 2, 2, rng)
     with pytest.raises(ValueError, match="target bit must be 0 or 1, got 2"):
-        phase2.build_x_phase2(store, 0, 2, 2, rng)
+        phase2.build_x_phase2(index, 0, 2, 2, rng)
 
 
 def test_window_truncates_sampled_clauses():
     # five disjoint single-literal clauses, a=1: exactly one literal active
     # (literals 1..5 have no entries of their own, so no level-2 growth)
     _, store = make_store({0: [((i + 1,), 1) for i in range(5)]}, V=8)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(6)
     seen = set()
     for _ in range(40):
-        x = phase2.build_x_phase2(store, 0, 1, a=1, rng=rng)
+        x = phase2.build_x_phase2(index, 0, 1, a=1, rng=rng)
         assert x.sum() == 1
         seen.add(int(np.flatnonzero(x)[0]))
     assert len(seen) > 1  # sampling actually varies
@@ -102,11 +109,12 @@ def test_a_literal_outside_the_literal_space_raises_and_never_wraps():
     # literals -1 and 2V = 8 would wrap or fall off a length-8 vector
     _, store = make_store({0: [((1, 8), 1)], 1: [((-1,), 1)],
                            2: [((0,), 1)], 3: [((3, 6), 1)]}, V=4)
+    index = phase2.PolarityIndex(store)
     rng = np.random.default_rng(15)
     for word in (0, 1, 2):  # word 2 reaches word 0's clause through level 2
         with pytest.raises(ValueError, match="literal index out of range"):
-            phase2.build_x_phase2(store, word, 1, 2, rng)
-    x = phase2.build_x_phase2(store, 3, 1, 2, rng)
+            phase2.build_x_phase2(index, word, 1, 2, rng)
+    x = phase2.build_x_phase2(index, 3, 1, 2, rng)
     assert np.flatnonzero(x).tolist() == [3, 6]
 
 
@@ -178,6 +186,7 @@ def test_expansion_equals_exhaustive_union_when_window_covers_all():
     checked = 0
     for _ in range(30):
         entries, store, V = random_toy_store(rng)
+        index = phase2.PolarityIndex(store)
         for word in entries:
             for q in (0, 1):
                 expected = two_level_union(entries, word, q, V)
@@ -185,7 +194,7 @@ def test_expansion_equals_exhaustive_union_when_window_covers_all():
                                    for _, w in entries[word])
                 if not has_polarity:
                     continue
-                x = phase2.build_x_phase2(store, word, q, a=10, rng=rng)
+                x = phase2.build_x_phase2(index, word, q, a=10, rng=rng)
                 assert set(np.flatnonzero(x).tolist()) == expected
                 checked += 1
     assert checked > 20
@@ -212,10 +221,11 @@ def random_expansion_store(rng):
     return make_store(entries, V)[1]
 
 
-def active_sets(build, store, word, q, a, rng, n, *index):
-    """How often each active-literal set came out of n expansions."""
+def active_sets(build, source, word, q, a, rng, n):
+    """How often each active-literal set came out of n expansions; source
+    is what build reads (a PolarityIndex, or the oracle's store)."""
     return Counter(frozenset(np.flatnonzero(
-        build(store, word, q, a, rng, *index)).tolist()) for _ in range(n))
+        build(source, word, q, a, rng)).tolist()) for _ in range(n))
 
 
 def homogeneity_p(mine: Counter, theirs: Counter) -> float:
@@ -266,8 +276,8 @@ def test_expansion_law_matches_the_filtering_oracle(case):
     word, q, a = LAW_CASES[case]
     _, store = make_store(LAW_STORE, V=5)
     index = phase2.PolarityIndex(store)
-    mine = active_sets(phase2.build_x_phase2, store, word, q, a,
-                       np.random.default_rng([31, word, q, a]), 3000, index)
+    mine = active_sets(phase2.build_x_phase2, index, word, q, a,
+                       np.random.default_rng([31, word, q, a]), 3000)
     theirs = active_sets(oracles.build_x_phase2, store, word, q, a,
                          np.random.default_rng([32, word, q, a]), 3000)
     assert len(mine) > 1
@@ -282,25 +292,24 @@ def test_expansion_law_matches_the_filtering_oracle_on_random_stores(seed):
              if filter_by_polarity(k, q).clauses.weights.size]
     word, q = cases[int(rng.integers(len(cases)))]
     a = int(rng.integers(1, 4))
-    mine = active_sets(phase2.build_x_phase2, store, word, q, a,
-                       np.random.default_rng([34, seed]), 1500)
+    mine = active_sets(phase2.build_x_phase2, phase2.PolarityIndex(store),
+                       word, q, a, np.random.default_rng([34, seed]), 1500)
     theirs = active_sets(oracles.build_x_phase2, store, word, q, a,
                          np.random.default_rng([35, seed]), 1500)
     assert homogeneity_p(mine, theirs) > 1e-3
 
 
-@pytest.mark.parametrize("shared_index", [False, True])
-def test_expansion_matches_the_filtering_oracle(shared_index):
+def test_expansion_matches_the_filtering_oracle():
     # the same error, dtype and law of the active set as the expansion that
-    # filtered the store on every call (tests/oracles.py), whether each call
-    # builds its own index or all calls share one; the law is compared over
-    # 20 expansions of every call that succeeds
+    # filtered the store on every call (tests/oracles.py), all calls on a
+    # store sharing one index; the law is compared over 20 expansions of
+    # every call that succeeds
     rng = np.random.default_rng(12)
     seen = Counter()
     mine, theirs = Counter(), Counter()
     for si in range(40):
         store = random_expansion_store(rng)
-        index = [phase2.PolarityIndex(store)] if shared_index else []
+        index = phase2.PolarityIndex(store)
         mine_rng = np.random.default_rng(int(rng.integers(2**32)))
         their_rng = np.random.default_rng(int(rng.integers(2**32)))
         for query in range(25):
@@ -310,20 +319,20 @@ def test_expansion_matches_the_filtering_oracle(shared_index):
                 expected = oracles.build_x_phase2(store, word, q, a, their_rng)
             except ValueError as err:
                 with pytest.raises(ValueError, match=re.escape(str(err))):
-                    phase2.build_x_phase2(store, word, q, a, mine_rng, *index)
+                    phase2.build_x_phase2(index, word, q, a, mine_rng)
                 seen["no entry" if word not in store.entries
                      else "no polarity"] += 1
                 continue
-            x = phase2.build_x_phase2(store, word, q, a, mine_rng, *index)
+            x = phase2.build_x_phase2(index, word, q, a, mine_rng)
             assert x.dtype == expected.dtype and x.shape == expected.shape
             n = filter_by_polarity(store.entries[word], q).clauses.weights.size
             seen["a < n" if a < n else "a >= n"] += 1
             key = (si, query)
-            for sample, build, r, extra in (
-                    (mine, phase2.build_x_phase2, mine_rng, index),
-                    (theirs, oracles.build_x_phase2, their_rng, [])):
-                for s, count in active_sets(build, store, word, q, a, r, 20,
-                                            *extra).items():
+            for sample, build, source, r in (
+                    (mine, phase2.build_x_phase2, index, mine_rng),
+                    (theirs, oracles.build_x_phase2, store, their_rng)):
+                for s, count in active_sets(build, source, word, q, a, r,
+                                            20).items():
                     sample[key, s] += count
     assert min(seen[k] for k in ("no entry", "no polarity", "a < n",
                                  "a >= n")) > 25
@@ -331,8 +340,9 @@ def test_expansion_matches_the_filtering_oracle(shared_index):
 
 
 def test_a_direct_call_filters_each_word_once_per_polarity(monkeypatch):
-    # without an index, a call builds one over the whole store: it filters
-    # every entry once for each q, and nothing when it fails on its word or q
+    # the index a call reads filters every entry of the whole store once for
+    # each q; the call itself filters nothing, whether or not it fails on
+    # its word or q
     calls = []
 
     def record(entry, q):
@@ -347,12 +357,14 @@ def test_a_direct_call_filters_each_word_once_per_polarity(monkeypatch):
         for word in range(store.V + 1):
             for q in (0, 1, 2):
                 calls.clear()
+                index = phase2.PolarityIndex(store)
+                assert sorted(calls) == every
+                calls.clear()
                 try:
-                    phase2.build_x_phase2(store, word, q, 2, rng)
+                    phase2.build_x_phase2(index, word, q, 2, rng)
                 except ValueError:
                     pass
-                expect = word in store.entries and q != 2
-                assert sorted(calls) == (every if expect else [])
+                assert calls == []
 
 
 def test_a_literal_in_two_sampled_clauses_is_expanded_twice():
@@ -365,20 +377,21 @@ def test_a_literal_in_two_sampled_clauses_is_expanded_twice():
         2: [((2,), -1)],  # no positive clause, so never expanded at q=1
     }, V=8)
     n = 3000
-    for build, seed in ((phase2.build_x_phase2, 36),
-                        (oracles.build_x_phase2, 37)):
+    for build, source, seed in (
+            (phase2.build_x_phase2, phase2.PolarityIndex(store), 36),
+            (oracles.build_x_phase2, store, 37)):
         rng = np.random.default_rng(seed)
         shown = Counter()
         for _ in range(n):
-            x = build(store, 0, 1, 2, rng)
+            x = build(source, 0, 1, 2, rng)
             assert x[[1, 2, 9]].all()
             shown[int(x[[3, 4, 5, 6]].sum())] += 1
         assert set(shown) <= {2, 3, 4}
         more = (shown[3] + shown[4]) / n
         assert abs(more - 5 / 6) < 4 * (5 / 36 / n) ** 0.5
     # clause (6, 7) shows whole or not at all
-    mine = active_sets(phase2.build_x_phase2, store, 0, 1, 2,
-                       np.random.default_rng(38), n)
+    mine = active_sets(phase2.build_x_phase2, phase2.PolarityIndex(store), 0,
+                       1, 2, np.random.default_rng(38), n)
     assert all((6 in s) == (7 in s) for s in mine)
     theirs = active_sets(oracles.build_x_phase2, store, 0, 1, 2,
                          np.random.default_rng(39), n)
@@ -532,14 +545,14 @@ def test_train_embedding_single_target_degenerates():
 
 def test_disjoint_knowledge_gives_disjoint_inputs():
     # every expanded input of word 0 misses every expanded input of word 1
-    store = two_word_disjoint_store()
+    index = phase2.PolarityIndex(two_word_disjoint_store())
     rng = np.random.default_rng(0)
     for q in (0, 1):
         for a in (1, 2, 3):
             seen = {0: set(), 1: set()}
             for _ in range(40):
                 for w in seen:
-                    x = phase2.build_x_phase2(store, w, q, a, rng)
+                    x = phase2.build_x_phase2(index, w, q, a, rng)
                     seen[w].update(np.flatnonzero(x).tolist())
             assert seen[0] and seen[1]
             assert not seen[0] & seen[1]
@@ -679,6 +692,16 @@ def test_load_embeddings_rejects_a_negative_literal_index(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("w0 0:1 2:4\nw1 -1:3.0\n")
     with pytest.raises(ValueError, match=r"emb.txt:2: negative literal index"):
+        phase2.load_embeddings(path, num_literals=4)
+
+
+@pytest.mark.parametrize("row", ["3:1 3:2", "0:1 3:1 1:2 3:2 1:5"])
+def test_load_embeddings_rejects_a_literal_listed_twice(tmp_path, row):
+    # a second value for a literal would silently replace the first
+    path = tmp_path / "emb.txt"
+    path.write_text(f"w0 0:1\nw1 {row}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "
+                                         rf"literal 3 listed twice$"):
         phase2.load_embeddings(path, num_literals=4)
 
 

@@ -4,7 +4,7 @@ Binary store layout (all integers little-endian, fixed width):
 
     header:
         magic          4 bytes  b"TMKS"
-        version        u16      currently 1
+        version        u16      currently 2
         vocab_digest   32 bytes sha256 of the bound vocabulary
         V              u32      vocabulary size
         record_count   u32
@@ -14,22 +14,20 @@ Binary store layout (all integers little-endian, fixed width):
         flag           u8       0 = trained, 1 = training failed
         msg_len        u16      UTF-8 failure message length (0 when trained)
         msg            msg_len bytes
-        clause_count   u32
-        clause, repeated clause_count times:
-            weight         i32  nonzero
-            literal_count  u32
-            literals       u32 x literal_count, delta encoded: first index
-                           absolute, the rest offsets from the previous one
+        clause_count   u32      n
+        weights        i32 x n            each clause's nonzero weight
+        counts         u32 x n            each clause's literal count
+        literals       u32 x sum(counts)  every clause's literals in order,
+                                          absolute, strictly increasing
+                                          within a clause and < 2V
 
-A word's clauses have one form, in memory and between memory and bytes:
-its clause arrays (per-clause weights, per-clause literal counts, every
-absolute literal in order). The record walker decodes each record's (the
-one delta decoder) and `load` keeps them; `save` and `replace_word` encode
-each entry's (the one delta encoder); both check them by one clause rule.
-The walker also checks the header and that records ascend by word and end
-exactly at the end of the file. `replace_word` (`phase1 --word`) packs the
-new record and copies every other record's bytes unchanged: exactly the
-bytes `save` writes for the loaded, updated store.
+A record's three columns are the word's clause arrays (`ClauseArrays`) as
+they are held in memory. `load` checks the header, reads each column with
+one `np.frombuffer` once it has checked that the column fits in the file,
+and checks that records ascend by word and end exactly at the end of the
+file. `save` checks every entry and failure, then writes the whole file
+atomically. Both check clauses by one clause rule. `replace_word`
+(`phase1 --word`) is a `load`, one entry set and a `save`.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,7 +45,7 @@ from .corpus import Vocabulary
 from .cotm import ClauseBank
 
 MAGIC = b"TMKS"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sH32sII")
 _RECORD = struct.Struct("<IBH")  # word, flag, msg_len
 _U32 = struct.Struct("<I")
@@ -130,17 +127,6 @@ def filter_by_polarity(knowledge: WordKnowledge, q: int) -> WordKnowledge:
         weights[keep], counts[keep], lits[keep.repeat(counts)]))
 
 
-def _cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where clauses with these literal counts sit among a record's u32
-    cells from clause_count (cell 0) on: each clause's first index into the
-    flat literal array, each clause's weight cell (its literal_count
-    follows), and every literal's cell."""
-    starts = counts.cumsum() - counts
-    heads = np.arange(1, 2 * counts.size, 2)  # cell 0 + 2 per earlier clause
-    ahead = (heads + 2).repeat(counts)
-    return starts, starts + heads, ahead + np.arange(ahead.size)
-
-
 def _clause_error(word: int, clauses: ClauseArrays, V: int) -> str | None:
     """The clause rule, for a record read and an entry to write alike: the
     message for the first of these clauses with a zero weight or with
@@ -164,8 +150,9 @@ def _clause_error(word: int, clauses: ClauseArrays, V: int) -> str | None:
 
 
 def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
-    """Check an entry against its key and the clause rule, then encode it as
-    a record. The arrays are checked before they are encoded, so a literal
+    """Check an entry against its key, V and the clause rule, and its
+    failure message against its u16 length field, then encode them as a
+    record. The arrays are checked before they are encoded, so a literal
     too large for its u32 cell is rejected, not wrapped, and so is a weight
     too large for its i32 cell."""
     weights, counts, lits = k.clauses
@@ -176,18 +163,16 @@ def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
         raise ValueError(err)
     if k.word != word:
         raise ValueError(f"entry key {word} does not match knowledge word {k.word}")
-    starts, weight_at, literal_at = _cells(counts)
-    deltas = np.diff(lits, prepend=0)
-    first = starts[counts > 0]
-    deltas[first] = lits[first]  # a clause's first literal is stored absolute
-    cells = np.empty(1 + 2 * counts.size + lits.size, dtype="<u4")
-    cells[0] = counts.size
-    cells[weight_at] = weights.astype("<i4").view("<u4")
-    cells[weight_at + 1] = counts
-    cells[literal_at] = deltas
+    if not 0 <= word < V:
+        raise ValueError(f"word index {word} out of range")
     msg_bytes = (msg or "").encode("utf-8")
-    payload = b"".join([_RECORD.pack(word, 1 if msg is not None else 0,
-                                     len(msg_bytes)), msg_bytes, cells.tobytes()])
+    if len(msg_bytes) > 0xFFFF:
+        raise ValueError(f"word {word}: failure message longer than 65535 "
+                         "UTF-8 bytes")
+    payload = b"".join([
+        _RECORD.pack(word, 1 if msg is not None else 0, len(msg_bytes)),
+        msg_bytes, _U32.pack(counts.size), weights.astype("<i4").tobytes(),
+        counts.astype("<u4").tobytes(), lits.astype("<u4").tobytes()])
     return _U32.pack(len(payload)) + payload
 
 
@@ -206,75 +191,67 @@ def _write_atomic(path, parts) -> None:
 
 
 def save(store: KnowledgeStore, path) -> None:
-    """Atomic whole-file write (temp file + rename); every entry is checked
-    before anything is written."""
+    """Atomic whole-file write (temp file + rename); every entry, then every
+    failure, is checked before anything is written."""
     records = {word: _pack_record(word, k, store.failures.get(word), store.V)
                for word, k in store.entries.items()}
+    orphans = sorted(store.failures.keys() - records.keys())
+    if orphans:
+        raise ValueError(f"word {orphans[0]}: failure message without an entry")
     _write_atomic(path, [_HEADER.pack(MAGIC, VERSION, store.vocab_hash,
                                       store.V, len(records))]
                   + [records[word] for word in sorted(records)])
 
 
-def _walk(data: bytes, vocab: Vocabulary) -> Iterator[tuple]:
-    """Check a store against vocab, yielding each record's (start, end,
-    message, entry) once checked; raises ValueError naming the first fault."""
-    size = len(data)
+def load(path, vocab: Vocabulary) -> KnowledgeStore:
+    """Load a store and check it against vocab; raises ValueError naming
+    the first fault."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    pos = 0
     last_good = None  # word of the last record checked whole
 
-    def truncated(pos: int) -> ValueError:
-        return ValueError(f"corrupt knowledge file: truncated at byte {pos} "
-                          f"(last good word index: {last_good})")
+    def take(n: int) -> int:
+        """Where the next n bytes start, once they are known to be in the
+        file; a cut is reported at the first byte of the field it cuts."""
+        nonlocal pos
+        if pos + n > len(data):
+            raise ValueError(f"corrupt knowledge file: truncated at byte {pos} "
+                             f"(last good word index: {last_good})")
+        pos += n
+        return pos - n
 
-    if _HEADER.size > size:
-        raise truncated(0)
-    magic, version, digest, V, count = _HEADER.unpack_from(data)
+    def column(dtype: str, n: int) -> np.ndarray:
+        return np.frombuffer(data, dtype, n, take(4 * n)).astype(np.int64)
+
+    magic, version, digest, V, count = _HEADER.unpack_from(data, take(_HEADER.size))
     if magic != MAGIC:
         raise ValueError("corrupt knowledge file: bad magic at byte 0")
     if version != VERSION:
         raise ValueError(f"unsupported knowledge format version {version}")
     if digest != vocab.digest() or V != vocab.size:
         raise ValueError("knowledge/vocabulary mismatch")
-    pos = _HEADER.size
+    store = KnowledgeStore(vocab_hash=digest, V=V)
     for _ in range(count):
         start = pos
-        try:  # a cut is reported at the first field it cuts
-            (record_len,) = _U32.unpack_from(data, pos)
-            pos += 4
-            word, flag, msg_len = _RECORD.unpack_from(data, pos)
-            pos += _RECORD.size
-            msg = struct.unpack_from(f"{msg_len}s", data, pos)[0].decode("utf-8")
-            pos += msg_len
-            body = pos
-            (clause_count,) = _U32.unpack_from(data, pos)
-            pos += 4
-            counts = []
-            for _ in range(clause_count):
-                counts.append(_U32.unpack_from(data, pos + 4)[0])
-                pos += 8 + 4 * counts[-1]
-                if pos > size:  # cut in the literals
-                    raise truncated(pos - 4 * counts[-1])
-        except struct.error:
-            raise truncated(pos) from None
-        except UnicodeDecodeError as err:  # pos is the message's first byte
+        (record_len,) = _U32.unpack_from(data, take(4))
+        word, flag, msg_len = _RECORD.unpack_from(data, take(_RECORD.size))
+        at = take(msg_len)
+        try:
+            msg = data[at:pos].decode("utf-8")
+        except UnicodeDecodeError as err:
             raise ValueError(
                 f"corrupt knowledge file: failure message of word {word} at "
-                f"byte {pos + err.start} is not UTF-8 "
+                f"byte {at + err.start} is not UTF-8 "
                 f"(last good word index: {last_good})") from None
+        (n,) = _U32.unpack_from(data, take(4))
+        weights, counts = column("<i4", n), column("<u4", n)
+        clauses = ClauseArrays(weights, counts, column("<u4", int(counts.sum())))
         if pos != start + 4 + record_len:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} ends at byte "
                 f"{pos}, expected {start + 4 + record_len} "
                 f"(last good word index: {last_good})")
-        # The clause arrays: the store's one delta decoder.
-        counts = np.array(counts, dtype=np.int64)
-        starts, weight_at, literal_at = _cells(counts)
-        cells = np.frombuffer(data, dtype="<u4", count=(pos - body) // 4,
-                              offset=body)
-        sums = np.zeros(literal_at.size + 1, dtype=np.int64)
-        # cells may be unaligned; gathering from an aligned copy is faster
-        cells.astype(np.int64)[literal_at].cumsum(out=sums[1:])
-        clauses = ClauseArrays(cells[weight_at].view("<i4").astype(np.int64),
-                               counts, sums[1:] - sums[starts].repeat(counts))
         err = _clause_error(word, clauses, V)
         if err:
             raise ValueError(err)
@@ -289,51 +266,33 @@ def _walk(data: bytes, vocab: Vocabulary) -> Iterator[tuple]:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} at byte "
                 f"{start} is out of order (last good word index: {last_good})")
-        yield start, pos, msg if flag else None, WordKnowledge(word, clauses)
+        store.entries[word] = WordKnowledge(word, clauses)
+        if flag:
+            store.failures[word] = msg
         last_good = word
-    if pos != size:
+    if pos != len(data):
         raise ValueError(
-            f"corrupt knowledge file: {size - pos} bytes after the last of "
-            f"{count} records, at byte {pos} (last good word index: {last_good})")
-
-
-def load(path, vocab: Vocabulary) -> KnowledgeStore:
-    """Load and verify a store; the vocabulary digest must match."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
-    for _, _, msg, k in _walk(data, vocab):
-        store.entries[k.word] = k
-        if msg is not None:
-            store.failures[k.word] = msg
+            f"corrupt knowledge file: {len(data) - pos} bytes after the last "
+            f"of {count} records, at byte {pos} (last good word index: "
+            f"{last_good})")
     return store
 
 
 def replace_word(path, vocab: Vocabulary, word: int,
                  train: Callable[[], tuple[WordKnowledge, str | None]]) -> None:
     """Put the (entry, failure message) that train() returns for word into
-    the store at path, in place.
-
-    The store is checked whole before train runs. The word's record is
-    replaced, or inserted in word order; every other record's bytes are
-    copied unchanged. The file written is byte for byte what `save` writes
-    for the loaded store with that entry, and with the message as the word's
-    failure (or no failure, when it is None).
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    spans = [(k.word, start, end) for start, end, _, k in _walk(data, vocab)]
+    the store at path: the store is loaded, so checked whole, before train
+    runs; then the word's entry is set, its failure set to the message (or
+    dropped, when it is None), and the store saved."""
+    store = load(path, vocab)
     if not 0 <= word < vocab.size:
         raise ValueError(f"word index {word} out of range")
-    record = _pack_record(word, *train(), vocab.size)
-    i = bisect_left(spans, (word,))
-    replaced = i < len(spans) and spans[i][0] == word
-    start = spans[i][1] if i < len(spans) else len(data)
-    stop = spans[i][2] if replaced else start
-    count = len(spans) + (0 if replaced else 1)
-    _write_atomic(path, [
-        _HEADER.pack(MAGIC, VERSION, vocab.digest(), vocab.size, count),
-        data[_HEADER.size:start], record, data[stop:]])
+    store.entries[word], msg = train()
+    if msg is None:
+        store.failures.pop(word, None)
+    else:
+        store.failures[word] = msg
+    save(store, path)
 
 
 def export_text(store: KnowledgeStore, vocab: Vocabulary, path) -> None:

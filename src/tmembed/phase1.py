@@ -183,6 +183,8 @@ def train_all(ds: DocumentSet, vocab: Vocabulary, cfg: Phase1Config,
     evenly among the workers; each worker receives the DocumentSet once,
     and a task carries only (words, cfg).
     """
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     store = KnowledgeStore(vocab_hash=vocab.digest(), V=vocab.size)
     batches = _batches(vocab.size, batch_size(ds.V, cfg), parallelism)
     workers = min(parallelism, len(batches))

@@ -177,11 +177,14 @@ def nearest_words_loop(word, emb, n, order="most", exclude=frozenset()):
 
 
 def load_store_fieldwise(path, vocab):
-    """The knowledge store reader as it was before the record walker: reads
-    field by field with struct and decodes every literal in a Python loop.
+    """The knowledge store reader, field by field with struct: each record's
+    weights, counts and literals columns are unpacked whole, then cut into
+    one Clause per clause in a Python loop.
 
     Returns the KnowledgeStore, or raises ValueError with the same message
-    knowledge.load gave for the first fault it met.
+    knowledge.load gives for the first fault it meets, but for the faults
+    only load checks: record flags, record order and bytes after the last
+    record. A message that is not UTF-8 raises the bare codec error.
     """
     import struct
     from tmembed.knowledge import MAGIC, VERSION, WordKnowledge
@@ -215,15 +218,14 @@ def load_store_fieldwise(path, vocab):
         word, flag, msg_len = take("<IBH")
         msg = take(f"<{msg_len}s")[0].decode("utf-8")
         (clause_count,) = take("<I")
-        clauses = []
-        for _ in range(clause_count):
-            weight, lit_count = take("<iI")
-            lits = []
-            prev = 0
-            for i, delta in enumerate(take(f"<{lit_count}I") if lit_count else ()):
-                prev = delta if i == 0 else prev + delta
-                lits.append(prev)
-            clauses.append(Clause(literals=tuple(lits), weight=weight))
+        weights = take(f"<{clause_count}i")
+        counts = take(f"<{clause_count}I")
+        literals = take(f"<{sum(counts)}I")
+        clauses, first = [], 0
+        for weight, lit_count in zip(weights, counts):
+            clauses.append(Clause(literals=literals[first:first + lit_count],
+                                  weight=weight))
+            first += lit_count
         if pos != record_end:
             raise ValueError(
                 f"corrupt knowledge file: record for word {word} ends at byte "
@@ -247,12 +249,14 @@ def load_store_fieldwise(path, vocab):
     return store
 
 
-# The knowledge store writer as it was before the clause codec: it checks
-# and packs every literal in a Python loop. _validate_entry, _pack_record and
-# the body of save_store_loopwise are that writer verbatim.
+# The knowledge store writer, with every check and every packed value in a
+# Python loop: _validate_entry is what `save` checks of an entry (the clause
+# rule, then its key), and _pack_record packs a record field by field with
+# struct, one column after the other.
 
 def _validate_entry(word, k, V):
-    """What `save` checks of an entry; `_walk` checks the same of a record."""
+    """`save`'s clause rule and key check of an entry; `load` checks the
+    same clause rule of a record."""
     for c in clause_tuples(k):
         if c.weight == 0:
             raise ValueError(f"word {k.word}: clause with zero weight")
@@ -270,19 +274,15 @@ def _validate_entry(word, k, V):
 def _pack_record(k, msg):
     clauses = clause_tuples(k)
     msg_bytes = (msg or "").encode("utf-8")
-    parts = [struct.pack("<IBH", k.word, 1 if msg is not None else 0,
-                         len(msg_bytes)), msg_bytes,
-             struct.pack("<I", len(clauses))]
-    for c in clauses:
-        parts.append(struct.pack("<iI", c.weight, len(c.literals)))
-        prev = 0
-        deltas = []
-        for lit in c.literals:  # first index lands absolute since prev starts at 0
-            deltas.append(lit - prev)
-            prev = lit
-        if deltas:
-            parts.append(struct.pack(f"<{len(deltas)}I", *deltas))
-    payload = b"".join(parts)
+    weights = [c.weight for c in clauses]
+    counts = [len(c.literals) for c in clauses]
+    literals = [lit for c in clauses for lit in c.literals]
+    payload = b"".join([
+        struct.pack("<IBH", k.word, 1 if msg is not None else 0, len(msg_bytes)),
+        msg_bytes, struct.pack("<I", len(clauses)),
+        struct.pack(f"<{len(weights)}i", *weights),
+        struct.pack(f"<{len(counts)}I", *counts),
+        struct.pack(f"<{len(literals)}I", *literals)])
     return struct.pack("<I", len(payload)) + payload
 
 

@@ -246,6 +246,26 @@ def test_phase2_with_no_target_words_fails_before_training(tmp_path, capsys):
     assert not (tmp_path / "emb.txt.manifest.json").exists()
 
 
+def test_phase2_refuses_a_format_1_store(tmp_path, capsys):
+    # a store written before the clause columns: only its version differs
+    # up to the first record, and nothing past the header is read
+    vocab, store = make_store({0: [((1,), 2), ((2, 5), -1)]}, V=4)
+    store_path, vocab_file = tmp_path / "k.tmk", tmp_path / "vocab.txt"
+    knowledge.save(store, store_path)
+    data = store_path.read_bytes()
+    store_path.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:])
+    corpus.save_vocabulary(vocab, vocab_file)
+    targets = tmp_path / "targets.txt"
+    targets.write_text("w0\n")
+    out = tmp_path / "emb.txt"
+    assert run(["phase2", store_path, targets, "--vocab", vocab_file,
+                "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == (
+        "error: unsupported knowledge format version 1\n")
+    assert not out.exists()
+    assert not (tmp_path / "emb.txt.manifest.json").exists()
+
+
 def test_eval_command_reports_fixture_scores(workdir, capsys):
     tmp, corpus, targets = workdir
     _, _, emb_path = pipeline(tmp, corpus, targets)

@@ -239,6 +239,14 @@ def test_load_bad_magic(tmp_path):
         knowledge.load(path, Vocabulary.from_words(["a"]))
 
 
+def test_load_refuses_a_format_1_header(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
+    with pytest.raises(ValueError,
+                       match="^unsupported knowledge format version 1$"):
+        knowledge.load(path, vocab)
+
+
 def test_export_text(tmp_path):
     vocab = Vocabulary.from_words(["car", "road", "driver"])
     _, store = make_store({0: [((1, 2), 3), ((1, 4), -2)]}, V=3)
@@ -376,8 +384,8 @@ def test_load_names_a_failure_message_that_is_not_utf8(tmp_path, offset):
 
 def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
     """Random byte flips, cuts and insertions: load gives the reader's store,
-    or its message; faults only the walker checks may come first."""
-    walker_only = ("bytes after the last", "is out of order", " has flag ")
+    or its message; faults only load checks may come first."""
+    load_only = ("bytes after the last", "is out of order", " has flag ")
     rng = np.random.default_rng(5)
     vocab, store = random_store(rng, V=5)
     path = tmp_path / "store.tmk"
@@ -392,7 +400,7 @@ def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
             damaged = data[:cut]
         elif kind == 2:
             damaged = data[:cut] + bytes(rng.integers(0, 256, 4, dtype=np.uint8)) + data[cut:]
-        else:  # zero a 4-byte cell past the header: weights, counts, deltas
+        else:  # zero a 4-byte cell past the header: weights, counts, literals
             cell = 46 + int(rng.integers((len(data) - 46) // 4)) * 4
             damaged = data[:cell] + bytes(4) + data[cell + 4:]
         path.write_bytes(damaged)
@@ -404,7 +412,7 @@ def test_load_matches_the_fieldwise_reader_on_damaged_stores(tmp_path):
             got = knowledge.load(path, vocab)
         except ValueError as err:
             got = str(err)
-            if any(m in got for m in walker_only):
+            if any(m in got for m in load_only):
                 continue
             if " is not UTF-8 " in got:  # the reader's bare codec error
                 assert want.startswith("'utf-8' codec can't decode"), (trial, cut)
@@ -530,12 +538,12 @@ def test_every_cut_of_a_store_is_rejected_and_left_unchanged(tmp_path):
 def test_load_checks_the_largest_literal_against_2V(tmp_path):
     vocab, path, data = saved_three_word_store(tmp_path)
     _, (start, end), _ = record_spans(data)  # word 1: one clause, literals (2, 4)
-    last_delta = end - 4
-    assert struct.unpack_from("<I", data, last_delta) == (2,)
-    path.write_bytes(data[:last_delta] + struct.pack("<I", 3) + data[end:])
+    last = end - 4
+    assert struct.unpack_from("<I", data, last) == (4,)
+    path.write_bytes(data[:last] + struct.pack("<I", 5) + data[end:])
     assert knowledge.load(path, vocab).entries[1] == knowledge.WordKnowledge(
         1, [((2, 5), 1)])
-    path.write_bytes(data[:last_delta] + struct.pack("<I", 4) + data[end:])
+    path.write_bytes(data[:last] + struct.pack("<I", 6) + data[end:])
     with pytest.raises(ValueError, match=r"^word 1: literal indices must be strictly increasing and < 6$"):
         knowledge.load(path, vocab)
 
@@ -611,6 +619,47 @@ def test_invalid_entries_give_the_reference_message_and_write_nothing(
     with pytest.raises(ValueError) as got:
         knowledge.replace_word(path, vocab, key, lambda: (k, None))
     assert str(got.value) == str(want.value)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+@pytest.mark.parametrize("key", [3, 5, -1])
+def test_an_entry_keyed_outside_the_vocabulary_is_rejected(tmp_path, key):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    store = three_word_store()
+    store.entries[key] = knowledge.WordKnowledge(key, [((0,), 1)])
+    message = f"^word index {key} out of range$"
+    with pytest.raises(ValueError, match=message):
+        knowledge.save(store, path)
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+def test_a_failure_message_longer_than_its_field_is_rejected(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    store = three_word_store()
+    fits = "é" * (0xFFFF // 2) + "x"  # 65,535 UTF-8 bytes
+    store.failures[2] = fits
+    knowledge.save(store, path)
+    assert knowledge.load(path, vocab).failures[2] == fits
+    data = path.read_bytes()
+    message = "^word 2: failure message longer than 65535 UTF-8 bytes$"
+    store.failures[2] = fits + "x"
+    with pytest.raises(ValueError, match=message):
+        knowledge.save(store, path)
+    with pytest.raises(ValueError, match=message):
+        knowledge.replace_word(path, vocab, 2, lambda: failed(2, fits + "x"))
+    assert path.read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
+
+
+def test_a_failure_without_an_entry_is_rejected(tmp_path):
+    vocab, path, data = saved_three_word_store(tmp_path)
+    store = three_word_store()
+    del store.entries[2]
+    with pytest.raises(ValueError,
+                       match="^word 2: failure message without an entry$"):
+        knowledge.save(store, path)
     assert path.read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["store.tmk"]
 

@@ -210,7 +210,7 @@ def test_train_all_parallel_equals_serial():
 # as the serial reference implementation writes it. Any change to the random
 # stream, the training, the failure handling or the store format moves it.
 PINNED_STORE_SHA256 = \
-    "62cb0d4f5e97ee84adf48065e89e071434fbf18a85d3e7659bcdf198ea55acff"
+    "0b665adb2778c630c28e3bd3597c0012eaa782c9cd23a1433eaa6bd2b336128a"
 PINNED_CFG = phase1.Phase1Config(r=60, a=4, epochs=2, num_clauses=10, T=10,
                                  s=3.0, N=16, seed=11)
 
@@ -231,6 +231,37 @@ def test_train_all_store_bytes_are_pinned(tmp_path, parallelism):
     path = tmp_path / "k.tmk"
     knowledge.save(store, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_STORE_SHA256
+
+
+# sha256 of what the pinned store holds, whatever its byte layout: each
+# entry's word, clause count, weights, counts and literals as int64 bytes in
+# word order, then the failures. Any change to the random stream, the
+# training or the failure handling moves it; a change of store format alone
+# does not.
+PINNED_ENTRIES_SHA256 = \
+    "7c25a9985a6a7bff2026744f07b34e37a02914f56415c235bc861b049d9f0fc1"
+
+
+def entries_sha256(store):
+    h = hashlib.sha256()
+    for w in sorted(store.entries):
+        k = store.entries[w]
+        h.update(np.array([w, k.clauses.weights.size], dtype=np.int64).tobytes())
+        for column in k.clauses:
+            h.update(column.astype(np.int64).tobytes())
+    h.update(repr(sorted(store.failures.items())).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 8])
+def test_train_all_store_entries_are_pinned(tmp_path, parallelism):
+    vocab, ds = pinned_corpus()
+    store = phase1.train_all(ds, vocab, PINNED_CFG, parallelism=parallelism)
+    path = tmp_path / "k.tmk"
+    knowledge.save(store, path)
+    loaded = knowledge.load(path, vocab)
+    assert (loaded.entries, loaded.failures) == (store.entries, store.failures)
+    assert entries_sha256(loaded) == PINNED_ENTRIES_SHA256
 
 
 @pytest.mark.parametrize("past", [-1, 0, 3], ids=["-1", "V", "V+3"])
@@ -388,6 +419,15 @@ def test_train_all_fails_a_word_in_every_document_that_never_draws_q0(
     for w in range(ds.V):
         assert_matches_loopwise(store.entries[w], store.failures.get(w), w,
                                 loopwise_everywhere_words[w])
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_train_all_rejects_parallelism_below_1_before_any_work(
+        monkeypatch, parallelism):
+    vocab, ds = pinned_corpus()
+    monkeypatch.setattr(phase1, "train_words", None)  # any work fails
+    with pytest.raises(ValueError, match="^parallelism must be >= 1$"):
+        phase1.train_all(ds, vocab, PINNED_CFG, parallelism=parallelism)
 
 
 def test_batches_cut_words_into_even_contiguous_shares():

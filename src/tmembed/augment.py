@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DocumentSet, Vocabulary
-from .cotm import ClauseBank, init_bank, predict, update
+from .cotm import ClauseBank, check_N, init_bank, predict, update
 from .phase2 import EmbeddingMatrix
 
 # Kept deliberately small: only blocks the most frequent function words from
@@ -51,6 +51,8 @@ class AugmentConfig:
             raise ValueError("replace_fraction must be in (0, 1]")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _ranker(emb: EmbeddingMatrix, rankings):
@@ -100,6 +102,8 @@ def nearest_words(word: int, emb: EmbeddingMatrix, n: int, order: str = "most",
     """
     if order not in ("most", "least"):
         raise ValueError(f"order must be 'most' or 'least', got {order!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     try:
         i = emb.words.index(word)
     except ValueError:
@@ -180,8 +184,11 @@ class ClassifierConfig:
     def __post_init__(self):
         if min(self.num_clauses, self.T, self.N, self.epochs) < 1:
             raise ValueError("epochs, num_clauses, T and N must be >= 1")
+        check_N(self.N)
         if not self.s > 1.0:
             raise ValueError("s must be > 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _document_vectors(ds: DocumentSet) -> np.ndarray:

@@ -223,9 +223,17 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     """One token per line, blank lines skipped; a file without a token
-    raises ValueError naming it."""
+    raises ValueError naming it, and a token seen twice raises ValueError
+    naming the path, its line and the token's first line."""
+    first_line: dict[str, int] = {}
     with open_text(path) as fh:
-        words = [w for w in (line.rstrip("\n") for line in fh) if w]
+        for lineno, word in enumerate((line.rstrip("\n") for line in fh), 1):
+            if word in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate token {word!r} "
+                                 f"(first on line {first_line[word]})")
+            if word:
+                first_line[word] = lineno
+    words = list(first_line)
     if not words:
         raise ValueError(f"{path}: vocabulary has no tokens")
     return Vocabulary.from_words(words)

@@ -23,6 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 
+# The largest N whose states, up to 2N, fit in int32.
+MAX_N = 2**30 - 1
+
+
+def check_N(N: int) -> None:
+    """Raise ValueError unless 1 <= N <= MAX_N."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N > MAX_N:
+        raise ValueError(f"N must be <= {MAX_N}, so that 2N fits the int32 "
+                         f"states, got {N}")
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     view = a.view()
@@ -44,8 +56,7 @@ class ClauseBank:
     """
 
     def __init__(self, states, weights, N: int, T: int, s: float):
-        if N < 1:
-            raise ValueError("N must be >= 1")
+        check_N(N)
         if T < 1:
             raise ValueError("T must be >= 1")
         if not s > 1.0:
@@ -137,6 +148,7 @@ def init_bank(num_clauses: int, num_outputs: int, V: int, N: int, T: int,
     """All states at N (excluded, one step from inclusion), all weights zero."""
     if num_clauses < 1 or num_outputs < 1 or V < 1:
         raise ValueError("num_clauses, num_outputs and V must be >= 1")
+    check_N(N)
     states = np.full((num_clauses, 2 * V), N, dtype=np.int32)
     weights = np.zeros((num_clauses, num_outputs), dtype=np.int32)
     return ClauseBank(states=states, weights=weights, N=N, T=T, s=s)

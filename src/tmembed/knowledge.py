@@ -26,8 +26,9 @@ they are held in memory. `load` checks the header, reads each column with
 one `np.frombuffer` once it has checked that the column fits in the file,
 and checks that records ascend by word and end exactly at the end of the
 file. `save` checks every entry and failure, then writes the whole file
-atomically. Both check clauses by one clause rule. `replace_word`
-(`phase1 --word`) is a `load`, one entry set and a `save`.
+atomically. Both, and Phase 2's polarity index, check clauses by one
+rule, `clause_error`. `replace_word` (`phase1 --word`) is a `load`, one
+entry set and a `save`.
 """
 
 from __future__ import annotations
@@ -127,11 +128,16 @@ def filter_by_polarity(knowledge: WordKnowledge, q: int) -> WordKnowledge:
         weights[keep], counts[keep], lits[keep.repeat(counts)]))
 
 
-def _clause_error(word: int, clauses: ClauseArrays, V: int) -> str | None:
-    """The clause rule, for a record read and an entry to write alike: the
-    message for the first of these clauses with a zero weight or with
-    literals not strictly increasing in [0, 2V), else None."""
+def clause_error(word: int, clauses: ClauseArrays, V: int) -> str | None:
+    """The clause rule, for a record read, an entry to write and Phase 2's
+    index alike: the message for a weight outside the i32 range, else for
+    the first of these clauses with a zero weight or with literals not
+    strictly increasing in [0, 2V), else None. Weights are checked before
+    anything is encoded, so one too large for its i32 cell is rejected, not
+    wrapped."""
     weights, counts, lits = clauses
+    if weights.size and not -2**31 <= weights.min() <= weights.max() < 2**31:
+        return f"word {word}: clause weight outside the i32 range"
     starts = counts.cumsum() - counts
     # unordered[i]: literal i is not above the literal before it in its clause
     unordered = np.zeros(lits.size + 1, dtype=bool)
@@ -153,12 +159,9 @@ def _pack_record(word: int, k: WordKnowledge, msg: str | None, V: int) -> bytes:
     """Check an entry against its key, V and the clause rule, and its
     failure message against its u16 length field, then encode them as a
     record. The arrays are checked before they are encoded, so a literal
-    too large for its u32 cell is rejected, not wrapped, and so is a weight
-    too large for its i32 cell."""
+    too large for its u32 cell is rejected, not wrapped."""
     weights, counts, lits = k.clauses
-    if weights.size and not -2**31 <= weights.min() <= weights.max() < 2**31:
-        raise ValueError(f"word {k.word}: clause weight outside the i32 range")
-    err = _clause_error(k.word, k.clauses, V)
+    err = clause_error(k.word, k.clauses, V)
     if err:
         raise ValueError(err)
     if k.word != word:
@@ -252,7 +255,7 @@ def load(path, vocab: Vocabulary) -> KnowledgeStore:
                 f"corrupt knowledge file: record for word {word} ends at byte "
                 f"{pos}, expected {start + 4 + record_len} "
                 f"(last good word index: {last_good})")
-        err = _clause_error(word, clauses, V)
+        err = clause_error(word, clauses, V)
         if err:
             raise ValueError(err)
         if word >= V:

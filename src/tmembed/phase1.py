@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import DocumentSet, Vocabulary
 # update is not called here; bench/tmbench/tracer.py wraps phase1.update
 # (Phase 1 steps its machines through update_stack).
-from .cotm import init_bank, update, update_stack  # noqa: F401
+from .cotm import check_N, init_bank, update, update_stack  # noqa: F401
 from .knowledge import NO_CLAUSES, KnowledgeStore, WordKnowledge, from_bank
 
 
@@ -40,8 +40,11 @@ class Phase1Config:
     def __post_init__(self):
         if min(self.r, self.a, self.epochs, self.num_clauses, self.T, self.N) < 1:
             raise ValueError("r, a, epochs, num_clauses, T and N must be >= 1")
+        check_N(self.N)
         if not self.s > 1.0:
             raise ValueError("s must be > 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def document_pools(ds: DocumentSet, word: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,8 @@ no negation closure is applied, because the clauses already carry negated
 literals.
 
 Training reads the store through one `PolarityIndex`: CSR tables of each
-polarity's clauses, built once. An example draws each level's clauses in one
+polarity's clauses, built once from entries checked as the store checks
+them. An example draws each level's clauses in one
 exact draw of uniform subsets and scatters their literals into its input; the
 active-literal set has the law of sampling the clauses one at a time.
 """
@@ -24,7 +25,8 @@ import numpy as np
 
 from .corpus import Vocabulary, open_text
 from .cotm import ClauseBank, init_bank, update
-from .knowledge import NO_CLAUSES, KnowledgeStore, filter_by_polarity
+from .knowledge import (NO_CLAUSES, KnowledgeStore, clause_error,
+                        filter_by_polarity)
 from .phase1 import Phase1Config
 
 
@@ -50,16 +52,13 @@ class Phase2Stats:
 class _Polarity(NamedTuple):
     """One polarity's clauses as CSR tables over clause ids 0..C-1, in
     word then store order: word w's clauses are ids word_ptr[w] up to
-    word_ptr[w + 1]; clause c's literals are literals[lit_ptr[c]:lit_ptr[c +
-    1]] and its expandable words expand[exp_ptr[c]:exp_ptr[c + 1]]. `bad`
-    marks the clauses with a literal outside [0, 2V)."""
+    word_ptr[w + 1], an empty range for every word in [0, V) without a
+    clause of the polarity; clause c's literals are literals[lit_ptr[c]:
+    lit_ptr[c + 1]]."""
 
     word_ptr: np.ndarray
     lit_ptr: np.ndarray
     literals: np.ndarray
-    exp_ptr: np.ndarray
-    expand: np.ndarray
-    bad: np.ndarray
 
 
 def _csr(counts: np.ndarray) -> np.ndarray:
@@ -70,31 +69,32 @@ def _csr(counts: np.ndarray) -> np.ndarray:
 
 
 def _polarity(store: KnowledgeStore, q: int) -> _Polarity:
-    V = store.V
-    per_word = np.zeros(max(V, max(store.entries, default=-1) + 1),
-                        dtype=np.int64)
+    per_word = np.zeros(store.V, dtype=np.int64)
     words = sorted(store.entries)
     found = [filter_by_polarity(store.entries[w], q).clauses for w in words]
     per_word[words] = [f.weights.size for f in found]
     _, counts, literals = map(np.concatenate, zip(NO_CLAUSES, *found))
-    lit_ptr = _csr(counts)
-    # an original feature is expandable if its own q-list is non-empty
-    expandable = (literals >= 0) & (literals < V)
-    expandable[expandable] = per_word[literals[expandable]] > 0
-    bad = _csr((literals < 0) | (literals >= 2 * V))[lit_ptr]
-    return _Polarity(_csr(per_word), lit_ptr, literals,
-                     _csr(expandable)[lit_ptr], literals[expandable],
-                     bad[1:] > bad[:-1])
+    return _Polarity(_csr(per_word), _csr(counts), literals)
 
 
 class PolarityIndex:
     """Both polarities' clauses of one store as CSR tables (`_Polarity`),
-    built once: each word is filtered once per polarity. A literal repeated
-    across clauses is an expandable word of each of them. `V` and `words`
-    (the words with an entry) are the store's. Build a new index after
-    changing the store."""
+    built once: each word is filtered once per polarity. Every entry is
+    first checked as `knowledge.save` checks it, so an entry the store
+    would refuse raises ValueError naming its word before any draw. `V` and
+    `words` (the words with an entry) are the store's. Build a new index
+    after changing the store."""
 
     def __init__(self, store: KnowledgeStore):
+        for word, k in store.entries.items():
+            err = clause_error(word, k.clauses, store.V)
+            if err:
+                raise ValueError(err)
+            if k.word != word:
+                raise ValueError(
+                    f"entry key {word} does not match knowledge word {k.word}")
+            if not 0 <= word < store.V:
+                raise ValueError(f"word index {word} out of range")
         self.V = store.V
         self.words = frozenset(store.entries)
         self.by_q = (_polarity(store, 0), _polarity(store, 1))
@@ -172,12 +172,13 @@ def build_x_phase2(index: PolarityIndex, word: int, q: int, a: int,
     """Two-level clause expansion into a literal vector (no negation closure).
 
     Level 1 samples min(a, available) clauses of the word's q polarity and
-    collects their literals. Level 2 expands each collected literal that is an
-    original feature with q-polarity knowledge, once per sampled clause that
-    carries it: sample min(a, available) of that word's q-polarity clauses
-    and collect their literals too. Negated literals (index >= V) are
-    activated but never expanded. Each level is one draw of uniform subsets
-    from the store's polarity index.
+    gathers their literals once. Level 2 expands each of those literals
+    that is an original feature (index < V), once per sampled clause that
+    carries it: sample min(a, available) of that word's q-polarity clauses,
+    none when it has none, and collect their literals too. Negated literals
+    (index >= V) are activated but never expanded. Each level is one draw of
+    uniform subsets from the store's polarity index, whose entries were
+    checked when it was built.
     """
     if word not in index.words:
         raise ValueError(f"word {word} has no knowledge entry")
@@ -189,14 +190,12 @@ def build_x_phase2(index: PolarityIndex, word: int, q: int, a: int,
         raise ValueError(f"no q-polarity knowledge for word {word} (q={q})")
     ids = first + (rng.choice(n, size=a, replace=False) if n > a
                    else np.arange(n))
-    words = _gather(t.exp_ptr, t.expand, ids)
-    if words.size:
-        starts = t.word_ptr[words]
-        ids = np.concatenate([ids, _subsets(
-            starts, t.word_ptr[words + 1] - starts, a, rng)])
-    if t.bad[ids].any():
-        raise ValueError("literal index out of range")
+    literals = _gather(t.lit_ptr, t.literals, ids)
+    words = literals[literals < index.V]
+    starts = t.word_ptr[words]
+    ids = _subsets(starts, t.word_ptr[words + 1] - starts, a, rng)
     x = np.zeros(2 * index.V, dtype=np.uint8)
+    x[literals] = 1
     x[_gather(t.lit_ptr, t.literals, ids)] = 1
     return x
 

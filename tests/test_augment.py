@@ -7,6 +7,7 @@ import pytest
 from tmembed import augment as aug
 from tmembed import cotm
 from tmembed.corpus import Vocabulary, vectorize
+from tmembed.phase1 import Phase1Config
 from tmembed.phase2 import EmbeddingMatrix
 from conftest import sentiment_fixture
 from oracles import nearest_words_loop, pairwise_cosine_table
@@ -67,8 +68,20 @@ def test_nearest_words_errors_and_exclusions():
                                                         [1.0, 0.0]]))
     with pytest.raises(ValueError, match="zero vector"):
         aug.nearest_words(0, zero, 1)
+    # a negative n would slice from the end of the ranking
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        aug.nearest_words(0, emb, -1)
+    assert aug.nearest_words(0, emb, 0) == []
     assert aug.nearest_words(0, emb, 4, exclude=frozenset({1})) == \
         [w for w in aug.nearest_words(0, emb, 4) if w != 1]
+
+
+@pytest.mark.parametrize("config", [aug.AugmentConfig, aug.ClassifierConfig,
+                                    Phase1Config])
+def test_a_negative_seed_is_refused_by_every_config(config):
+    # numpy's generators refuse it too, but only once the inputs are read
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        config(seed=-1)
 
 
 @pytest.mark.parametrize("seed", range(6))

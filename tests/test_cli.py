@@ -716,8 +716,10 @@ def test_config_file_numbers_take_their_setting_type(tmp_path):
     (["--clauses", 0], "num_clauses"),
     (["--T", 0], "T "),
     (["--N", 0], "N "),
+    (["--N", 2**30], "N must be <= 1073741823"),
     (["--s", 1.0], "s must be > 1"),
-], ids=["clauses", "T", "N", "s"])
+    (["--seed", -1], "seed must be >= 0"),
+], ids=["clauses", "T", "N", "N-beyond-int32", "s", "seed"])
 def test_phase1_rejects_bad_bank_settings_before_training(workdir, capsys,
                                                           flags, message):
     tmp, corpus, _ = workdir
@@ -741,6 +743,17 @@ def test_phase1_rejects_a_vocabulary_file_without_tokens(workdir, capsys,
         f"error: {empty}: vocabulary has no tokens\n"
     assert not out.exists() and not (tmp / "k.tmk.vocab").exists()
     assert not (tmp / "k.tmk.manifest.json").exists()
+
+
+def test_phase1_names_a_token_its_vocabulary_file_repeats(workdir, capsys):
+    tmp, corpus, _ = workdir
+    repeated = tmp / "repeated.txt"
+    repeated.write_text("sun\nmoon\nsun\n")
+    out = tmp / "k.tmk"
+    assert run(["phase1", corpus, "--vocab", repeated, "--out", out] + FAST) == 1
+    assert capsys.readouterr().err == \
+        f"error: {repeated}:3: duplicate token 'sun' (first on line 1)\n"
+    assert not out.exists() and not (tmp / "k.tmk.vocab").exists()
 
 
 def test_phase2_rejects_bad_bank_settings_before_training(workdir, capsys):
@@ -773,9 +786,11 @@ def test_classify_extra_labels_without_extra_is_usage_error(tmp_path, capsys):
     (["--clauses", 0], "num_clauses"),
     (["--T", 0], "T "),
     (["--N", 0], "N "),
+    (["--N", 2**30], "N must be <= 1073741823"),
     (["--epochs", 0], "epochs"),
     (["--s", 1.0], "s must be > 1"),
-], ids=["clauses", "T", "N", "epochs", "s"])
+    (["--seed", -1], "seed must be >= 0"),
+], ids=["clauses", "T", "N", "N-beyond-int32", "epochs", "s", "seed"])
 def test_classify_rejects_bad_bank_settings_before_reading_inputs(
         tmp_path, capsys, flags, message):
     vocab, paths, vpath = sentiment_files(tmp_path)

@@ -241,6 +241,15 @@ def test_vocabulary_file_round_trip(tmp_path):
     assert corpus.load_vocabulary(path).words == vocab.words
 
 
+def test_a_vocabulary_file_that_repeats_a_token_names_both_lines(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\nbad\ngood\n\ngood\nbad\n")  # blank lines count
+    with pytest.raises(ValueError) as err:
+        corpus.load_vocabulary(path)
+    assert str(err.value) == \
+        f"{path}:5: duplicate token 'good' (first on line 3)"
+
+
 def test_read_corpus_and_labels(tmp_path):
     cpath = tmp_path / "docs.txt"
     cpath.write_text("The cat sat.\nDogs bark!\n")

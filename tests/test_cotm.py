@@ -444,6 +444,14 @@ def test_a_bank_is_built_only_from_states_in_range_and_matching_weights():
         cotm.ClauseBank(states=states[0], weights=weights, N=8, T=10, s=3.0)
     with pytest.raises(ValueError, match="N must be"):
         cotm.ClauseBank(states=states, weights=weights, N=0, T=10, s=3.0)
+    # 2N must fit the int32 states
+    for N in (2**30, 2**31, 2**40):
+        with pytest.raises(ValueError, match=f"N must be <= 1073741823, .*{N}"):
+            cotm.ClauseBank(states=states, weights=weights, N=N, T=10, s=3.0)
+        with pytest.raises(ValueError, match=f"N must be <= 1073741823, .*{N}"):
+            cotm.init_bank(2, 1, 2, N, 10, 3.0)
+    bank = cotm.init_bank(2, 1, 2, 2**30 - 1, 10, 3.0)
+    assert (bank.states == 2**30 - 1).all() and not bank.included().any()
 
 
 # ---- vector constructors ----

@@ -1,5 +1,9 @@
 import hashlib
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +208,60 @@ def test_train_all_parallel_equals_serial():
     parallel = phase1.train_all(ds, vocab, cfg, parallelism=2)
     assert serial.entries == parallel.entries
     assert serial.failures == parallel.failures
+
+
+# Run in a fresh interpreter, so that it can choose its start method before
+# any pool exists: trains batch_corpus's store at parallelism 1 and 2 under
+# a budget of two banks per batch, and prints the start method, the number
+# of batches and each saved store's sha256.
+START_METHOD_CHILD = """
+import hashlib, multiprocessing, sys
+from tmembed import knowledge, phase1
+from tmembed.corpus import Vocabulary, vectorize
+import numpy as np
+
+if __name__ == "__main__":
+    method, out = sys.argv[1], sys.argv[2]
+    multiprocessing.set_start_method(method)
+    rng = np.random.default_rng(22)
+    vocab = Vocabulary.from_words([f"w{i}" for i in range(7)])
+    raw = [[f"w{i}" for i in (0, 1, 2, 4, 6) if rng.random() < 0.4] + ["w5"]
+           for _ in range(24)]
+    ds = vectorize(raw, vocab)
+    cfg = phase1.Phase1Config(r=20, a=3, epochs=2, num_clauses=6, T=6, s=2.0,
+                              N=8, seed=21)
+    phase1.BATCH_CELLS = 2 * cfg.num_clauses * 2 * ds.V
+    digests = []
+    for parallelism in (1, 2):
+        store = phase1.train_all(ds, vocab, cfg, parallelism=parallelism)
+        knowledge.save(store, out)
+        with open(out, "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    print(multiprocessing.get_start_method(),
+          len(phase1._batches(ds.V, phase1.batch_size(ds.V, cfg), 2)),
+          *digests)
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_train_all_parallel_equals_serial_under_every_start_method(
+        tmp_path, method):
+    # workers that are not forked import the package afresh and receive the
+    # corpus pickled; forkserver is Linux's default from Python 3.14
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script = tmp_path / "child.py"
+    script.write_text(START_METHOD_CHILD)
+    src = os.path.dirname(os.path.dirname(phase1.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(script), method,
+                           str(tmp_path / "k.tmk")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    used, batches, serial, parallel = done.stdout.split()
+    assert (used, int(batches)) == (method, 4)
+    assert serial == parallel
 
 
 # sha256 of the store that train_all saves for pinned_corpus under PINNED_CFG,

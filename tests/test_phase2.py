@@ -9,9 +9,9 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 import oracles
-from tmembed import cotm, phase1, phase2
+from tmembed import cotm, knowledge, phase1, phase2
 from tmembed.corpus import Vocabulary, vectorize
-from tmembed.knowledge import filter_by_polarity
+from tmembed.knowledge import WordKnowledge, filter_by_polarity
 from tmembed.phase1 import Phase1Config
 from conftest import make_store
 from oracles import naive_embedding, two_level_union
@@ -106,15 +106,16 @@ def test_window_truncates_sampled_clauses():
 
 
 def test_a_literal_outside_the_literal_space_raises_and_never_wraps():
-    # literals -1 and 2V = 8 would wrap or fall off a length-8 vector
-    _, store = make_store({0: [((1, 8), 1)], 1: [((-1,), 1)],
-                           2: [((0,), 1)], 3: [((3, 6), 1)]}, V=4)
-    index = phase2.PolarityIndex(store)
+    # literals -1 and 2V = 8 would wrap or fall off a length-8 vector, so
+    # the index refuses them as it is built, naming the word
+    good = {2: [((0,), 1)], 3: [((3, 6), 1)]}
+    for word, clauses in ((0, [((1, 8), 1)]), (1, [((-1,), 1)])):
+        _, store = make_store({**good, word: clauses}, V=4)
+        with pytest.raises(ValueError, match=f"^word {word}: literal indices"):
+            phase2.PolarityIndex(store)
+    _, store = make_store(good, V=4)
     rng = np.random.default_rng(15)
-    for word in (0, 1, 2):  # word 2 reaches word 0's clause through level 2
-        with pytest.raises(ValueError, match="literal index out of range"):
-            phase2.build_x_phase2(index, word, 1, 2, rng)
-    x = phase2.build_x_phase2(index, 3, 1, 2, rng)
+    x = phase2.build_x_phase2(phase2.PolarityIndex(store), 3, 1, 2, rng)
     assert np.flatnonzero(x).tolist() == [3, 6]
 
 
@@ -468,6 +469,34 @@ def test_train_embedding_calls_build_x_phase2_once_per_word_example(
     assert len(calls) == stats.attempts == 2 * 40 * 2
     assert len(raised) == stats.skips > 0 and set(raised) == {1}
     assert stats.skipped_words == Counter(raised)
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    (1, (1, [((0, 8), 1)]), "word 1: literal indices"),  # at 2V
+    (1, (1, [((0, 9), -1)]), "word 1: literal indices"),  # above 2V
+    (1, (1, [((-1,), 1)]), "word 1: literal indices"),
+    (1, (1, [((2, 0), 1)]), "word 1: literal indices"),  # unsorted
+    (1, (1, [((0,), 1), ((2,), 0)]), "word 1: clause with zero weight"),
+    (1, (1, [((0,), 2**31)]), "word 1: clause weight outside the i32"),
+    (4, (4, [((0,), 1)]), "word index 4 out of range"),  # keyed at V
+    (1, (2, [((0,), 1)]), "entry key 1 does not match knowledge word 2"),
+], ids=["literal-at-2V", "literal-above-2V", "negative-literal",
+        "unsorted-literals", "zero-weight", "weight-beyond-i32", "key-at-V",
+        "key-not-its-word"])
+def test_train_embedding_refuses_an_entry_save_refuses_before_any_draw(
+        monkeypatch, tmp_path, key, entry, message):
+    # the refused entry is not a target, but the targets' clauses reach it
+    calls = []
+    monkeypatch.setattr(phase2, "build_x_phase2",
+                        lambda *args: calls.append(args))
+    _, store = make_store({0: [((1, 2), 1), ((1,), -1)],
+                           2: [((0, 1), 1), ((3,), -2)]}, V=4)
+    store.entries[key] = WordKnowledge(*entry)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        knowledge.save(store, tmp_path / "k.tmk")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        phase2.train_embedding(store, [0, 2], desk_cfg())
+    assert calls == []
 
 
 # ---- embedding extraction ----
